@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test vet race race-stress fsck-smoke metrics-smoke chaos-smoke dedup-smoke codec-smoke pull-smoke scrub-smoke cluster-smoke fuzz check bench
+.PHONY: build test vet check-runs race race-stress fsck-smoke metrics-smoke chaos-smoke dedup-smoke codec-smoke pull-smoke scrub-smoke cluster-smoke fuzz check bench
 
 build:
 	$(GO) build ./...
@@ -15,6 +15,23 @@ vet:
 
 race:
 	$(GO) test -race ./...
+
+# Guard against rotting smoke lists: every alternative of every
+# `$(GO) test ... -run '<re>' <pkgs>` line in this Makefile must still
+# match at least one test in the packages it is run against, so a
+# renamed or merged test cannot silently drop out of a smoke target.
+check-runs:
+	@set -eu; \
+	grep -E "^[[:space:]]*\\$$\(GO\) test .*-run '" Makefile | while read -r line; do \
+		re=$$(printf '%s\n' "$$line" | sed -E "s/.*-run '([^']*)'.*/\1/"); \
+		pkgs=$$(printf '%s\n' "$$line" | sed -E "s/.*-run '[^']*' *//"); \
+		for alt in $$(printf '%s' "$$re" | tr '|' ' '); do \
+			n=$$($(GO) test -list "$$alt" $$pkgs | grep -c '^Test' || true); \
+			test "$$n" -gt 0 || { \
+				echo "check-runs FAILED: -run '$$alt' matches no test in $$pkgs"; exit 1; }; \
+		done; \
+	done; \
+	echo "check-runs OK: every -run pattern still matches a test"
 
 # Serving-tier concurrency battery: the chunk cache's eviction/promotion
 # machinery, the CAS read paths (parallel recover + save + GC +
@@ -91,7 +108,7 @@ dedup-smoke:
 # matrix suite under the race detector. Stores written with any codec
 # must read back with none configured.
 codec-smoke:
-	$(GO) test -race -count=1 -run 'TestCodec|TestPreCodec|TestCorruptEncoded|TestDiffDocUnknown|TestDedupCodecShares' ./internal/core
+	$(GO) test -race -count=1 -run 'TestCodec|TestPreCodec|TestLegacyCompressed|TestCorruptEncoded|TestDiffDocUnknown|TestDedupCodecShares' ./internal/core
 	$(GO) test -race -count=1 ./internal/codec
 	@set -eu; \
 	tmp=$$(mktemp -d); \
@@ -240,7 +257,7 @@ fuzz:
 # once plain, once under the race detector — then the durability,
 # observability, resilience, dedup, codec, pull, self-healing, and
 # cluster smoke tests and the short fuzz pass.
-check: build vet test race race-stress fsck-smoke metrics-smoke chaos-smoke dedup-smoke codec-smoke pull-smoke scrub-smoke cluster-smoke fuzz
+check: build vet check-runs test race race-stress fsck-smoke metrics-smoke chaos-smoke dedup-smoke codec-smoke pull-smoke scrub-smoke cluster-smoke fuzz
 
 bench:
 	$(GO) test -bench=. -benchmem

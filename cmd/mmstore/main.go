@@ -468,17 +468,7 @@ func buildApproach(name string, stores mmm.Stores, workers int, dedup bool, code
 	if codecID != "" {
 		opts = append(opts, mmm.WithCodec(codecID))
 	}
-	switch name {
-	case "baseline":
-		return mmm.NewBaseline(stores, opts...), nil
-	case "update":
-		return mmm.NewUpdate(stores, opts...), nil
-	case "provenance":
-		return mmm.NewProvenance(stores, opts...), nil
-	case "mmlib":
-		return mmm.NewMMlibBase(stores, opts...), nil
-	}
-	return nil, fmt.Errorf("unknown approach %q (want baseline, update, provenance, or mmlib)", name)
+	return core.Open(name, stores, opts...)
 }
 
 // printDu renders a storage-accounting report, local or remote.

@@ -7,6 +7,7 @@ import (
 	"sort"
 	"sync"
 
+	"github.com/mmm-go/mmm/internal/core"
 	"github.com/mmm-go/mmm/internal/core/pool"
 	"github.com/mmm-go/mmm/internal/server"
 )
@@ -18,9 +19,6 @@ import (
 // under-replicated owner to sync the set from a peer that has it —
 // destination-driven over the pull protocol, so a rejoining node that
 // already holds most chunks fetches only the delta.
-
-// approachNames are the namespaces a rebalance covers.
-var approachNames = []string{"baseline", "mmlib", "provenance", "update"}
 
 // rebalanceWorkers bounds concurrent set syncs; syncing is
 // network+disk bound on the destinations, so a small fan-out saturates
@@ -79,7 +77,7 @@ func (rt *Router) Rebalance(ctx context.Context) (*RebalanceReport, error) {
 	type setKey struct{ approach, id string }
 	holders := map[setKey][]Member{}
 	var mu sync.Mutex
-	for _, approach := range approachNames {
+	for _, approach := range core.ApproachNames() {
 		oks, errs := rt.fanout(ctx, func(ctx context.Context, m Member) (any, error) {
 			return rt.client(m).List(ctx, approach)
 		})

@@ -1,9 +1,6 @@
 package core
 
-import (
-	"context"
-	"fmt"
-)
+import "context"
 
 // Baseline is the paper's first multi-model approach: it represents a
 // set of n models by exactly three artifacts — one metadata document,
@@ -13,106 +10,19 @@ import (
 // collapses O(n) store writes into O(1) (O3), while every set remains
 // independently recoverable.
 type Baseline struct {
-	stores  Stores
-	ids     idAllocator
-	workers int
-	metrics *approachObs
-	dedup   bool
-	codec   string
+	approachBase
 }
-
-// collection and blob namespace of Baseline.
-const (
-	baselineCollection = "baseline_sets"
-	baselineBlobPrefix = "baseline"
-)
 
 // NewBaseline returns a Baseline approach over the given stores.
 func NewBaseline(stores Stores, opts ...Option) *Baseline {
-	s := newSettings(opts)
-	s.attachCache(stores)
-	return &Baseline{stores: stores, ids: idAllocator{prefix: "bl"}, workers: s.workers,
-		metrics: newApproachObs(s.metrics, "Baseline"), dedup: s.dedup, codec: s.codec}
+	b := &Baseline{}
+	b.setup(baselineLayout, b, stores, opts)
+	return b
 }
 
-// Name implements Approach.
-func (b *Baseline) Name() string { return "Baseline" }
-
-// SaveContext implements Approach. Baseline treats initial and derived
+// write implements approachImpl. Baseline treats initial and derived
 // sets identically: every save is a full, self-contained snapshot, so
 // req.Base and req.Updates are ignored by design.
-func (b *Baseline) SaveContext(ctx context.Context, req SaveRequest) (SaveResult, error) {
-	sp := b.metrics.begin("save", "")
-	res, err := b.save(ctx, req)
-	sp.SetID = res.SetID
-	b.metrics.endSave(sp, res, err)
-	return res, err
-}
-
-func (b *Baseline) save(ctx context.Context, req SaveRequest) (SaveResult, error) {
-	if err := validateSave(req); err != nil {
-		return SaveResult{}, err
-	}
-	if err := ctx.Err(); err != nil {
-		return SaveResult{}, err
-	}
-
-	existing, err := b.stores.Docs.IDs(baselineCollection)
-	if err != nil {
-		return SaveResult{}, err
-	}
-	setID, err := chooseSetID(req, &b.ids, existing)
-	if err != nil {
-		return SaveResult{}, err
-	}
-
-	cdc, err := resolveCodec(b.codec)
-	if err != nil {
-		return SaveResult{}, err
-	}
-	op := newSaveOp(b.stores, b.dedup, cdc, b.codec, b.workers, b.metrics.reg)
-	if err := fullSave(ctx, op, baselineCollection, baselineBlobPrefix, b.Name(), setID, req, nil, nil, b.workers); err != nil {
-		op.rollback()
-		return SaveResult{}, err
-	}
-	return op.result(setID), nil
-}
-
-// Save implements Approach.
-//
-// Deprecated: use SaveContext.
-func (b *Baseline) Save(req SaveRequest) (SaveResult, error) {
-	return b.SaveContext(context.Background(), req)
-}
-
-// RecoverContext implements Approach: load metadata and architecture,
-// then decode all parameters from the single binary file.
-func (b *Baseline) RecoverContext(ctx context.Context, setID string) (*ModelSet, error) {
-	sp := b.metrics.begin("recover", setID)
-	set, err := b.recover(ctx, setID)
-	b.metrics.endRecover(sp, 0, err)
-	return set, err
-}
-
-func (b *Baseline) recover(ctx context.Context, setID string) (*ModelSet, error) {
-	meta, err := loadMeta(b.stores, baselineCollection, setID)
-	if err != nil {
-		return nil, err
-	}
-	if meta.Approach != b.Name() {
-		return nil, fmt.Errorf("core: set %q was saved by %s, not Baseline", setID, meta.Approach)
-	}
-	return fullRecover(ctx, b.stores, baselineBlobPrefix, meta, b.workers)
-}
-
-// Recover implements Approach.
-//
-// Deprecated: use RecoverContext.
-func (b *Baseline) Recover(setID string) (*ModelSet, error) {
-	return b.RecoverContext(context.Background(), setID)
-}
-
-// SetIDs lists all sets saved by this approach, in save order.
-func (b *Baseline) SetIDs() ([]string, error) {
-	return b.stores.Docs.IDs(baselineCollection)
+func (b *Baseline) write(ctx context.Context, op *saveOp, setID string, req SaveRequest) error {
+	return b.fullSave(ctx, op, setID, req, nil)
 }

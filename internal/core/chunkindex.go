@@ -21,10 +21,6 @@ import (
 // chunkIndexFile is the index's file name under the set's blob prefix.
 const chunkIndexFile = "params.idx"
 
-func chunkIndexKey(blobPrefix, setID string) string {
-	return blobPrefix + "/" + setID + "/" + chunkIndexFile
-}
-
 // isChunkIndexKey reports whether a blob key names a per-set chunk
 // index.
 func isChunkIndexKey(key string) bool {
@@ -35,16 +31,16 @@ func isChunkIndexKey(key string) bool {
 // Only dedup saves have a recipe to index; plain saves write nothing.
 // Called after the params blob and before the metadata document, so a
 // committed set either has a complete index or (pre-index stores) none.
-func writeChunkIndex(op *saveOp, blobPrefix, setID string, stride int64) error {
+func writeChunkIndex(op *saveOp, l *layout, setID string, stride int64) error {
 	if !op.dedup {
 		return nil
 	}
-	r, err := cas.For(op.st.Blobs).Recipe(blobPrefix + "/" + setID + "/params.bin")
+	r, err := cas.For(op.st.Blobs).Recipe(l.blobKey(setID, paramsFile))
 	if err != nil {
 		return fmt.Errorf("core: reading recipe for chunk index: %w", err)
 	}
 	ix := cas.BuildIndex(stride, r)
-	if err := op.putBlobRaw(chunkIndexKey(blobPrefix, setID), ix.Encode()); err != nil {
+	if err := op.putBlobRaw(l.blobKey(setID, chunkIndexFile), ix.Encode()); err != nil {
 		return fmt.Errorf("core: writing chunk index: %w", err)
 	}
 	return nil
@@ -55,8 +51,8 @@ func writeChunkIndex(op *saveOp, blobPrefix, setID string, stride int64) error {
 // back to ranged reads). A present-but-undecodable index surfaces
 // ErrCorruptBlob. Parsed indexes are cached on the store's serving
 // tier when one is attached.
-func loadChunkIndex(st Stores, blobPrefix, setID string) (*cas.Index, error) {
-	key := chunkIndexKey(blobPrefix, setID)
+func loadChunkIndex(st Stores, l *layout, setID string) (*cas.Index, error) {
+	key := l.blobKey(setID, chunkIndexFile)
 	cs := cas.For(st.Blobs)
 	if v, ok := cs.CachedRaw(key); ok {
 		return v.(*cas.Index), nil

@@ -13,7 +13,7 @@ func saveDedupBaseline(t *testing.T, n int) (*Baseline, Stores, *ModelSet, strin
 	b := NewBaseline(st, WithDedup())
 	set := mustNewSet(t, n)
 	res := mustSave(t, b, SaveRequest{Set: set})
-	return b, st, set, res.SetID, chunkIndexKey(baselineBlobPrefix, res.SetID)
+	return b, st, set, res.SetID, baselineLayout.blobKey(res.SetID, chunkIndexFile)
 }
 
 func TestChunkIndexWrittenOnlyForDedupSaves(t *testing.T) {
@@ -25,7 +25,7 @@ func TestChunkIndexWrittenOnlyForDedupSaves(t *testing.T) {
 	stPlain := NewMemStores()
 	bPlain := NewBaseline(stPlain)
 	res := mustSave(t, bPlain, SaveRequest{Set: mustNewSet(t, 3)})
-	if _, err := stPlain.Blobs.Size(chunkIndexKey(baselineBlobPrefix, res.SetID)); err == nil {
+	if _, err := stPlain.Blobs.Size(baselineLayout.blobKey(res.SetID, chunkIndexFile)); err == nil {
 		t.Fatal("plain save wrote a chunk index; only dedup saves have a recipe to index")
 	}
 }

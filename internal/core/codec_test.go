@@ -138,6 +138,31 @@ func TestPreCodecStoreReadable(t *testing.T) {
 	}
 }
 
+// TestLegacyCompressedDiffDocReadable rewrites a zlib diff document the
+// way binaries from before the codec layer wrote it — compressed:true
+// and no codec field — and recovers through it.
+func TestLegacyCompressedDiffDocReadable(t *testing.T) {
+	st := NewMemStores()
+	u := NewUpdate(st, WithCodec(codec.ZlibID))
+	id, _ := plantCompressedDiff(t, u, st)
+	want := mustRecover(t, u, id)
+
+	var diff diffDoc
+	if err := st.Docs.Get(updateDiffCollection, id, &diff); err != nil {
+		t.Fatal(err)
+	}
+	if !diff.Compressed {
+		t.Fatal("zlib diff document no longer carries the legacy compressed field")
+	}
+	diff.Codec = ""
+	if err := st.Docs.Insert(updateDiffCollection, id, diff); err != nil {
+		t.Fatal(err)
+	}
+	if got := mustRecover(t, NewUpdate(st), id); !got.Equal(want) {
+		t.Fatal("legacy compressed diff document recovered differently")
+	}
+}
+
 // TestDiffDocUnknownCodecID corrupts the persisted diff document to
 // name a codec this build does not have: recovery must fail with
 // ErrCorruptBlob instead of misreading the blob bytes.

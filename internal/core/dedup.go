@@ -18,27 +18,30 @@ import (
 // recipe, so one store can hold a mix of deduplicated and plain sets
 // and every set stays readable either way.
 
-// getBlob reads a logical blob: raw bytes if present, else through its
-// CAS recipe. When both are missing the raw error is returned so
-// backend.IsNotFound semantics are preserved.
-func getBlob(st Stores, key string) ([]byte, error) {
-	data, err := st.Blobs.Get(key)
+// resolveBlob runs one operation against a logical blob: raw on the
+// plain blob if present, else viaCAS through its recipe. When both are
+// missing the raw error is returned so backend.IsNotFound semantics are
+// preserved; a recipe or chunk that no longer reads back surfaces as
+// ErrCorruptBlob.
+func resolveBlob[T any](raw, viaCAS func() (T, error)) (T, error) {
+	v, err := raw()
 	if err == nil || !backend.IsNotFound(err) {
-		return data, err
+		return v, err
 	}
-	data, cerr := cas.For(st.Blobs).Get(key)
+	v, cerr := viaCAS()
 	if cerr == nil {
-		return data, nil
+		return v, nil
 	}
 	if backend.IsNotFound(cerr) {
-		return nil, err
+		return v, err
 	}
-	return nil, mapCorrupt(cerr)
+	return v, mapCorrupt(cerr)
 }
 
-// mapCorrupt translates the CAS layer's corruption sentinel — a chunk
-// body that is damaged, names an unknown codec, or fails to decode —
-// into the core-level ErrCorruptBlob callers test for.
+// mapCorrupt translates the CAS layer's corruption sentinel — a
+// garbled recipe, or a chunk body that is damaged, names an unknown
+// codec, or fails to decode — into the core-level ErrCorruptBlob
+// callers test for.
 func mapCorrupt(err error) error {
 	if errors.Is(err, cas.ErrCorrupt) {
 		return fmt.Errorf("core: %v: %w", err, ErrCorruptBlob)
@@ -46,36 +49,25 @@ func mapCorrupt(err error) error {
 	return err
 }
 
+// getBlob reads a logical blob, raw or deduplicated.
+func getBlob(st Stores, key string) ([]byte, error) {
+	return resolveBlob(
+		func() ([]byte, error) { return st.Blobs.Get(key) },
+		func() ([]byte, error) { return cas.For(st.Blobs).Get(key) })
+}
+
 // getBlobRange is getBlob for a byte range.
 func getBlobRange(st Stores, key string, off, length int64) ([]byte, error) {
-	data, err := st.Blobs.GetRange(key, off, length)
-	if err == nil || !backend.IsNotFound(err) {
-		return data, err
-	}
-	data, cerr := cas.For(st.Blobs).GetRange(key, off, length)
-	if cerr == nil {
-		return data, nil
-	}
-	if backend.IsNotFound(cerr) {
-		return nil, err
-	}
-	return nil, mapCorrupt(cerr)
+	return resolveBlob(
+		func() ([]byte, error) { return st.Blobs.GetRange(key, off, length) },
+		func() ([]byte, error) { return cas.For(st.Blobs).GetRange(key, off, length) })
 }
 
 // blobSize reports a logical blob's size, raw or deduplicated.
 func blobSize(st Stores, key string) (int64, error) {
-	size, err := st.Blobs.Size(key)
-	if err == nil || !backend.IsNotFound(err) {
-		return size, err
-	}
-	size, cerr := cas.For(st.Blobs).Size(key)
-	if cerr == nil {
-		return size, nil
-	}
-	if backend.IsNotFound(cerr) {
-		return 0, err
-	}
-	return 0, cerr
+	return resolveBlob(
+		func() (int64, error) { return st.Blobs.Size(key) },
+		func() (int64, error) { return cas.For(st.Blobs).Size(key) })
 }
 
 // deleteBlob removes a logical blob and returns the physical bytes
@@ -84,21 +76,21 @@ func blobSize(st Stores, key string) (int64, error) {
 // refcount reached zero — chunks still shared with other sets cost
 // nothing to "delete". Missing keys free zero bytes without error.
 func deleteBlob(st Stores, key string) (int64, error) {
-	size, err := st.Blobs.Size(key)
-	switch {
-	case err == nil:
-		if derr := st.Blobs.Delete(key); derr != nil {
-			return size, derr
-		}
-		// Drop any cached parse of the raw blob (per-set chunk
-		// indexes live on the serving-tier cache under their key).
-		cas.For(st.Blobs).InvalidateRaw(key)
-		return size, nil
-	case backend.IsNotFound(err):
-		return cas.For(st.Blobs).Release(key, nil)
-	default:
-		return 0, err
-	}
+	return resolveBlob(
+		func() (int64, error) {
+			size, err := st.Blobs.Size(key)
+			if err != nil {
+				return 0, err
+			}
+			if err := st.Blobs.Delete(key); err != nil {
+				return size, err
+			}
+			// Drop any cached parse of the raw blob (per-set chunk
+			// indexes live on the serving-tier cache under their key).
+			cas.For(st.Blobs).InvalidateRaw(key)
+			return size, nil
+		},
+		func() (int64, error) { return cas.For(st.Blobs).Release(key, nil) })
 }
 
 // GCReport summarizes a dedup garbage-collection pass.

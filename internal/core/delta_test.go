@@ -8,9 +8,8 @@ import (
 
 func TestDeltaEncodingRoundTrip(t *testing.T) {
 	st := NewMemStores()
-	u := NewUpdate(st)
+	u := NewUpdate(st, WithCodec("zlib"))
 	u.DeltaEncoding = true
-	u.Compress = true
 	ids, truths := saveUpdateChain(t, u, st, 3)
 	for i, id := range ids {
 		got := mustRecover(t, u, id)
@@ -22,9 +21,8 @@ func TestDeltaEncodingRoundTrip(t *testing.T) {
 
 func TestDeltaEncodingPartialRecovery(t *testing.T) {
 	st := NewMemStores()
-	u := NewUpdate(st)
+	u := NewUpdate(st, WithCodec("zlib"))
 	u.DeltaEncoding = true
-	u.Compress = true
 	ids, truths := saveUpdateChain(t, u, st, 2)
 	for i, id := range ids {
 		checkPartial(t, u, id, truths[i], []int{0, 3, 7})
@@ -37,8 +35,7 @@ func TestDeltaEncodingCompressesBetterThanRaw(t *testing.T) {
 	// XOR stream zlib-compresses much better than the raw floats do.
 	run := func(delta bool) int64 {
 		st := NewMemStores()
-		u := NewUpdate(st)
-		u.Compress = true
+		u := NewUpdate(st, WithCodec("zlib"))
 		u.DeltaEncoding = delta
 		set := mustNewSetArch(t, nn.FFNN48(), 10)
 		resFull := mustSave(t, u, SaveRequest{Set: set})

@@ -56,14 +56,6 @@ type DuReport struct {
 	DedupRatioPercent int64 `json:"dedup_ratio_percent"`
 }
 
-// duApproaches names the four managed namespaces for Du.
-var duApproaches = []struct{ name, collection, prefix string }{
-	{"baseline", baselineCollection, baselineBlobPrefix},
-	{"mmlib", mmlibSetCollection, mmlibBlobPrefix},
-	{"provenance", provenanceCollection, provenanceBlobPrefix},
-	{"update", updateCollection, updateBlobPrefix},
-}
-
 // Du scans the managed blob namespaces and reports logical versus
 // physical occupancy per set and store-wide. It never modifies the
 // store; unreadable recipes are skipped here and reported by Fsck.
@@ -120,16 +112,16 @@ func Du(st Stores) (*DuReport, error) {
 		report.DedupRatioPercent = report.LogicalBytes * 100 / report.PhysicalBytes
 	}
 
-	for _, ap := range duApproaches {
-		ids, err := st.Docs.IDs(ap.collection)
+	for _, l := range layouts {
+		ids, err := st.Docs.IDs(l.collection)
 		if err != nil {
 			return nil, err
 		}
 		sort.Strings(ids)
 		for _, id := range ids {
-			setPrefix := ap.prefix + "/" + id + "/"
-			row := DuSet{Approach: ap.name, SetID: id}
-			if meta, err := loadMeta(st, ap.collection, id); err == nil {
+			setPrefix := l.setPrefix(id)
+			row := DuSet{Approach: l.name, SetID: id}
+			if meta, err := loadMeta(st, l, id); err == nil {
 				row.Codec = meta.Codec
 			}
 			for k, size := range rawSizes {

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"strings"
 )
 
 // Store-wide fsck: where VerifyStore asks "does every committed set
@@ -142,137 +141,38 @@ func newRefSet() *refSet {
 	}
 }
 
-func (r *refSet) blob(key string)    { r.blobs[key] = true }
-func (r *refSet) doc(col, id string) { r.docs[[2]string{col, id}] = true }
-func (r *refSet) fullBlobs(prefix, id string) {
-	r.blob(prefix + "/" + id + "/arch.json")
-	r.blob(prefix + "/" + id + "/params.bin")
-	// The chunk index is optional (dedup saves only); referencing a
-	// blob that does not exist merely suppresses orphan classification.
-	r.blob(prefix + "/" + id + "/" + chunkIndexFile)
-}
-
-// fsckCollections are the document collections fsck owns. Documents in
-// other collections are outside the management system and left alone.
-var fsckCollections = []string{
-	mmlibSetCollection, mmlibMetaCollection, mmlibEnvCollection, mmlibCodeCollection,
-	baselineCollection,
-	updateCollection, updateHashCollection, updateDiffCollection,
-	provenanceCollection, provenanceTrainCollection, provenanceUpdateCollection,
-}
-
-// fsckBlobPrefixes are the blob namespaces fsck owns.
-var fsckBlobPrefixes = []string{
-	mmlibBlobPrefix, baselineBlobPrefix, updateBlobPrefix, provenanceBlobPrefix,
-}
-
-// references computes every artifact the committed sets of all four
-// approaches reference. sets is the number of committed sets seen.
+// references computes every artifact the committed sets of all
+// approaches reference, straight from their layouts. sets is the
+// number of committed sets seen.
 func references(st Stores) (refs *refSet, sets int, err error) {
 	refs = newRefSet()
-
-	// MMlibBase: per-model bundles.
-	ids, err := st.Docs.IDs(mmlibSetCollection)
-	if err != nil {
-		return nil, 0, err
-	}
-	for _, id := range ids {
-		sets++
-		refs.doc(mmlibSetCollection, id)
-		meta, err := loadMeta(st, mmlibSetCollection, id)
+	for _, l := range layouts {
+		ids, err := st.Docs.IDs(l.collection)
 		if err != nil {
-			// The per-model document IDs need meta.NumModels; without it
-			// none of the auxiliary collections can be classified safely.
-			refs.unsafePrefix[mmlibBlobPrefix] = true
-			refs.unsafeCols[mmlibMetaCollection] = true
-			refs.unsafeCols[mmlibEnvCollection] = true
-			refs.unsafeCols[mmlibCodeCollection] = true
-			continue
+			return nil, 0, err
 		}
-		for i := 0; i < meta.NumModels; i++ {
-			modelID := fmt.Sprintf("%s-m%05d", id, i)
-			refs.doc(mmlibMetaCollection, modelID)
-			refs.doc(mmlibEnvCollection, modelID)
-			refs.doc(mmlibCodeCollection, modelID)
-			refs.blob(fmt.Sprintf("%s/%s/%d/arch.json", mmlibBlobPrefix, id, i))
-			refs.blob(fmt.Sprintf("%s/%s/%d/params.bin", mmlibBlobPrefix, id, i))
-		}
-	}
-
-	// Baseline: one metadata document, two blobs.
-	ids, err = st.Docs.IDs(baselineCollection)
-	if err != nil {
-		return nil, 0, err
-	}
-	for _, id := range ids {
-		sets++
-		refs.doc(baselineCollection, id)
-		if _, err := loadMeta(st, baselineCollection, id); err != nil {
-			refs.unsafePrefix[baselineBlobPrefix] = true
-			continue
-		}
-		refs.fullBlobs(baselineBlobPrefix, id)
-	}
-
-	// Update: hash document always; full blobs or diff document + blob.
-	ids, err = st.Docs.IDs(updateCollection)
-	if err != nil {
-		return nil, 0, err
-	}
-	for _, id := range ids {
-		sets++
-		refs.doc(updateCollection, id)
-		refs.doc(updateHashCollection, id)
-		meta, err := loadMeta(st, updateCollection, id)
-		if err != nil {
-			// Kind is unknown, so reference the diff document too (its ID
-			// is the set ID): a reference to a document that turns out not
-			// to exist only suppresses orphan classification.
-			refs.unsafePrefix[updateBlobPrefix] = true
-			refs.doc(updateDiffCollection, id)
-			continue
-		}
-		if meta.Kind == "full" {
-			refs.fullBlobs(updateBlobPrefix, id)
-		} else {
-			refs.doc(updateDiffCollection, id)
-			refs.blob(updateBlobPrefix + "/" + id + "/diff.bin")
-		}
-	}
-
-	// Provenance: full blobs or training-replay documents.
-	ids, err = st.Docs.IDs(provenanceCollection)
-	if err != nil {
-		return nil, 0, err
-	}
-	for _, id := range ids {
-		sets++
-		refs.doc(provenanceCollection, id)
-		meta, err := loadMeta(st, provenanceCollection, id)
-		if err != nil {
-			refs.unsafePrefix[provenanceBlobPrefix] = true
-			refs.doc(provenanceTrainCollection, id)
-			refs.doc(provenanceUpdateCollection, id)
-			continue
-		}
-		if meta.Kind == "full" {
-			refs.fullBlobs(provenanceBlobPrefix, id)
-		} else {
-			refs.doc(provenanceTrainCollection, id)
-			refs.doc(provenanceUpdateCollection, id)
+		for _, id := range ids {
+			sets++
+			arts, err := l.artifactsOf(st, id)
+			if err != nil {
+				// Which blobs the set references is unknown; arts names
+				// the documents to shield. A reference to an artifact
+				// that turns out not to exist only suppresses orphan
+				// classification.
+				refs.unsafePrefix[l.blobPrefix] = true
+			}
+			for _, d := range arts.docs {
+				refs.docs[[2]string{d.collection, d.id}] = true
+			}
+			for _, b := range arts.blobs {
+				refs.blobs[b.key] = true
+			}
+			for _, c := range arts.unsafeCols {
+				refs.unsafeCols[c] = true
+			}
 		}
 	}
 	return refs, sets, nil
-}
-
-// ownedPrefix returns the approach blob namespace key belongs to, or "".
-func ownedPrefix(key string) string {
-	for _, p := range fsckBlobPrefixes {
-		if strings.HasPrefix(key, p+"/") {
-			return p
-		}
-	}
-	return ""
 }
 
 // Fsck checks the whole store: per-blob checksums, set completeness for
@@ -290,10 +190,12 @@ func Fsck(st Stores, opts FsckOptions) (*FsckReport, error) {
 
 	// Direction 1: every committed set's artifacts present and
 	// consistent. VerifyStore also covers Update/Provenance base chains.
-	for _, v := range []Verifier{
-		NewMMlibBase(st), NewBaseline(st), NewUpdate(st), NewProvenance(st),
-	} {
-		issues, err := v.VerifyStore()
+	for _, l := range layouts {
+		a, err := Open(l.name, st)
+		if err != nil {
+			return nil, err
+		}
+		issues, err := a.(Verifier).VerifyStore()
 		if err != nil {
 			return nil, err
 		}
@@ -368,7 +270,11 @@ func Fsck(st Stores, opts FsckOptions) (*FsckReport, error) {
 	}
 
 	// Direction 2c: no unreferenced documents in owned collections.
-	for _, col := range fsckCollections {
+	var owned []string
+	for _, l := range layouts {
+		owned = append(append(owned, l.collection), l.aux...)
+	}
+	for _, col := range owned {
 		if refs.unsafeCols[col] {
 			continue
 		}

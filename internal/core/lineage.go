@@ -2,27 +2,22 @@ package core
 
 import "fmt"
 
-// SetInfo is the public view of a saved set's metadata.
+// SetInfo is a saved set's metadata document, as stored and as
+// exposed.
 type SetInfo struct {
 	SetID      string `json:"set_id"`
 	Approach   string `json:"approach"`
 	Kind       string `json:"kind"` // "full" or "derived"
 	Base       string `json:"base,omitempty"`
-	Depth      int    `json:"depth"`
+	Depth      int    `json:"depth"` // recovery-chain length; 0 for full saves
 	ArchName   string `json:"arch_name"`
 	NumModels  int    `json:"num_models"`
 	ParamCount int    `json:"param_count"`
 	// Codec is the compression codec ID the set was saved with (""
-	// for none, including pre-codec sets).
+	// for none, including every pre-codec set). Recovery never needs
+	// it — encoded artifacts are self-describing — but du, inspect,
+	// and the server surface it.
 	Codec string `json:"codec,omitempty"`
-}
-
-func infoFromMeta(m setMeta) SetInfo {
-	return SetInfo{
-		SetID: m.SetID, Approach: m.Approach, Kind: m.Kind, Base: m.Base,
-		Depth: m.Depth, ArchName: m.ArchName, NumModels: m.NumModels,
-		ParamCount: m.ParamCount, Codec: m.Codec,
-	}
 }
 
 // Lineager exposes a set's recovery chain: the sequence of sets that
@@ -33,8 +28,9 @@ type Lineager interface {
 	Lineage(setID string) ([]SetInfo, error)
 }
 
-// lineageFrom walks base pointers in collection until a full save.
-func lineageFrom(st Stores, collection, setID string) ([]SetInfo, error) {
+// Lineage implements Lineager: walk base pointers until a full save.
+// Approaches that only save full snapshots always return one element.
+func (b *approachBase) Lineage(setID string) ([]SetInfo, error) {
 	var chain []SetInfo
 	seen := map[string]bool{}
 	for id := setID; id != ""; {
@@ -42,43 +38,15 @@ func lineageFrom(st Stores, collection, setID string) ([]SetInfo, error) {
 			return nil, fmt.Errorf("core: lineage of %q contains a cycle at %q", setID, id)
 		}
 		seen[id] = true
-		meta, err := loadMeta(st, collection, id)
+		meta, err := loadMeta(b.stores, b.layout, id)
 		if err != nil {
 			return nil, err
 		}
-		chain = append(chain, infoFromMeta(meta))
-		if meta.Kind == "full" {
+		chain = append(chain, meta)
+		if !b.layout.derived(meta) {
 			return chain, nil
 		}
 		id = meta.Base
 	}
 	return nil, fmt.Errorf("core: lineage of %q ends without a full snapshot", setID)
-}
-
-// Lineage implements Lineager for Baseline (always a single element).
-func (b *Baseline) Lineage(setID string) ([]SetInfo, error) {
-	meta, err := loadMeta(b.stores, baselineCollection, setID)
-	if err != nil {
-		return nil, err
-	}
-	return []SetInfo{infoFromMeta(meta)}, nil
-}
-
-// Lineage implements Lineager for MMlibBase (always a single element).
-func (m *MMlibBase) Lineage(setID string) ([]SetInfo, error) {
-	meta, err := loadMeta(m.stores, mmlibSetCollection, setID)
-	if err != nil {
-		return nil, err
-	}
-	return []SetInfo{infoFromMeta(meta)}, nil
-}
-
-// Lineage implements Lineager for Update.
-func (u *Update) Lineage(setID string) ([]SetInfo, error) {
-	return lineageFrom(u.stores, updateCollection, setID)
-}
-
-// Lineage implements Lineager for Provenance.
-func (p *Provenance) Lineage(setID string) ([]SetInfo, error) {
-	return lineageFrom(p.stores, provenanceCollection, setID)
 }

@@ -19,33 +19,15 @@ import (
 // 8 KB of model-independent data per model — exactly the behaviour the
 // paper's approaches optimize away.
 type MMlibBase struct {
-	stores  Stores
-	ids     idAllocator
-	workers int
-	metrics *approachObs
-	dedup   bool
-	codec   string
+	approachBase
 }
-
-// Collections and blob namespace of MMlibBase.
-const (
-	mmlibSetCollection  = "mmlib_sets"
-	mmlibMetaCollection = "mmlib_meta"
-	mmlibEnvCollection  = "mmlib_env"
-	mmlibCodeCollection = "mmlib_code"
-	mmlibBlobPrefix     = "mmlib"
-)
 
 // NewMMlibBase returns an MMlibBase approach over the given stores.
 func NewMMlibBase(stores Stores, opts ...Option) *MMlibBase {
-	s := newSettings(opts)
-	s.attachCache(stores)
-	return &MMlibBase{stores: stores, ids: idAllocator{prefix: "ml"}, workers: s.workers,
-		metrics: newApproachObs(s.metrics, "MMlib-base"), dedup: s.dedup, codec: s.codec}
+	m := &MMlibBase{}
+	m.setup(mmlibLayout, m, stores, opts)
+	return m
 }
-
-// Name implements Approach.
-func (m *MMlibBase) Name() string { return "MMlib-base" }
 
 // modelMeta is the per-model metadata document MMlib keeps.
 type modelMeta struct {
@@ -75,35 +57,11 @@ type codeDoc struct {
 	DataLoader   string `json:"data_loader"`
 }
 
-// SaveContext implements Approach. Like Baseline, every save is a full
+// write implements approachImpl. Like Baseline, every save is a full
 // snapshot; unlike Baseline, each model is persisted separately. The
 // per-model bundles are independent, so they are written by the worker
 // pool; the set document that makes the save visible is written last.
-func (m *MMlibBase) SaveContext(ctx context.Context, req SaveRequest) (SaveResult, error) {
-	sp := m.metrics.begin("save", "")
-	res, err := m.save(ctx, req)
-	sp.SetID = res.SetID
-	m.metrics.endSave(sp, res, err)
-	return res, err
-}
-
-func (m *MMlibBase) save(ctx context.Context, req SaveRequest) (SaveResult, error) {
-	if err := validateSave(req); err != nil {
-		return SaveResult{}, err
-	}
-	if err := ctx.Err(); err != nil {
-		return SaveResult{}, err
-	}
-
-	existing, err := m.stores.Docs.IDs(mmlibSetCollection)
-	if err != nil {
-		return SaveResult{}, err
-	}
-	setID, err := chooseSetID(req, &m.ids, existing)
-	if err != nil {
-		return SaveResult{}, err
-	}
-
+func (m *MMlibBase) write(ctx context.Context, op *saveOp, setID string, req SaveRequest) error {
 	environment := envDoc{Info: env.Capture(), Freeze: dependencyFreeze()}
 	code := codeDoc{
 		ModelClass:   modelClassCode(req.Set.Arch),
@@ -112,21 +70,16 @@ func (m *MMlibBase) save(ctx context.Context, req SaveRequest) (SaveResult, erro
 		DataLoader:   dataLoaderCode,
 	}
 
-	cdc, err := resolveCodec(m.codec)
-	if err != nil {
-		return SaveResult{}, err
-	}
-	op := newSaveOp(m.stores, m.dedup, cdc, m.codec, m.workers, m.metrics.reg)
-	err = pool.Run(ctx, m.workers, len(req.Set.Models), func(i int) error {
+	err := pool.Run(ctx, m.workers, len(req.Set.Models), func(i int) error {
 		model := req.Set.Models[i]
-		modelID := fmt.Sprintf("%s-m%05d", setID, i)
+		modelID := mmlibModelID(setID, i)
 
 		// One architecture blob and one framed parameter blob per model:
 		// the redundancy O1 targets.
-		if err := saveArchBlob(op, fmt.Sprintf("%s/%s/%d/arch.json", mmlibBlobPrefix, setID, i), req.Set.Arch); err != nil {
+		if err := saveArchBlob(op, mmlibBlobKey(setID, i, archFile), req.Set.Arch); err != nil {
 			return err
 		}
-		if err := op.putBlob(fmt.Sprintf("%s/%s/%d/params.bin", mmlibBlobPrefix, setID, i), frameParams(model)); err != nil {
+		if err := op.putBlob(mmlibBlobKey(setID, i, paramsFile), frameParams(model)); err != nil {
 			return fmt.Errorf("core: writing params of model %d: %w", i, err)
 		}
 		// Three documents per model: metadata, environment, code.
@@ -149,56 +102,26 @@ func (m *MMlibBase) save(ctx context.Context, req SaveRequest) (SaveResult, erro
 		return nil
 	})
 	if err != nil {
-		op.rollback()
-		return SaveResult{}, err
+		return err
 	}
-
-	setDoc := setMeta{
-		SetID: setID, Approach: m.Name(), Kind: "full",
-		ArchName: req.Set.Arch.Name, NumModels: len(req.Set.Models),
-		ParamCount: req.Set.Arch.ParamCount(), Codec: op.codecID,
+	if err := op.insertDoc(mmlibSetCollection, setID, op.newMeta(m.Name(), setID, req)); err != nil {
+		return fmt.Errorf("core: writing set document: %w", err)
 	}
-	if err := op.insertDoc(mmlibSetCollection, setID, setDoc); err != nil {
-		op.rollback()
-		return SaveResult{}, fmt.Errorf("core: writing set document: %w", err)
-	}
-
-	return op.result(setID), nil
+	return nil
 }
 
-// Save implements Approach.
-//
-// Deprecated: use SaveContext.
-func (m *MMlibBase) Save(req SaveRequest) (SaveResult, error) {
-	return m.SaveContext(context.Background(), req)
-}
-
-// RecoverContext implements Approach: every model is loaded
+// readFull implements approachImpl: every model is loaded
 // individually — metadata, environment, and code documents plus two
 // blobs per model, mirroring MMlib's full-bundle restore. These O(n)
 // store round trips are why MMlib-base's TTR is an order of magnitude
 // above Baseline's. The per-model restores are independent and run on
 // the worker pool; model slots commit by index, and the set's shared
 // architecture is deterministically taken from model 0's bundle.
-func (m *MMlibBase) RecoverContext(ctx context.Context, setID string) (*ModelSet, error) {
-	sp := m.metrics.begin("recover", setID)
-	set, err := m.recover(ctx, setID)
-	m.metrics.endRecover(sp, 0, err)
-	return set, err
-}
-
-func (m *MMlibBase) recover(ctx context.Context, setID string) (*ModelSet, error) {
-	meta, err := loadMeta(m.stores, mmlibSetCollection, setID)
-	if err != nil {
-		return nil, err
-	}
-	if meta.Approach != m.Name() {
-		return nil, fmt.Errorf("core: set %q was saved by %s, not MMlib-base", setID, meta.Approach)
-	}
+func (m *MMlibBase) readFull(ctx context.Context, meta setMeta) (*ModelSet, error) {
 	set := &ModelSet{Models: make([]*nn.Model, meta.NumModels)}
 	archs := make([]*nn.Architecture, meta.NumModels)
-	err = pool.Run(ctx, m.workers, meta.NumModels, func(i int) error {
-		model, arch, err := m.recoverOne(setID, i)
+	err := pool.Run(ctx, m.workers, meta.NumModels, func(i int) error {
+		model, arch, err := m.recoverOne(meta.SetID, i)
 		if err != nil {
 			return err
 		}
@@ -215,16 +138,15 @@ func (m *MMlibBase) recover(ctx context.Context, setID string) (*ModelSet, error
 	return set, nil
 }
 
-// Recover implements Approach.
-//
-// Deprecated: use RecoverContext.
-func (m *MMlibBase) Recover(setID string) (*ModelSet, error) {
-	return m.RecoverContext(context.Background(), setID)
-}
-
-// SetIDs lists all sets saved by this approach, in save order.
-func (m *MMlibBase) SetIDs() ([]string, error) {
-	return m.stores.Docs.IDs(mmlibSetCollection)
+// PullSource implements PullSourcer. MMlibBase stores one file per
+// model, never a single concatenated params blob, so no set it saves is
+// pullable — but a known set must still be distinguishable from a
+// missing one.
+func (m *MMlibBase) PullSource(setID string) (PullSource, error) {
+	if _, err := loadMeta(m.stores, m.layout, setID); err != nil {
+		return PullSource{}, err
+	}
+	return PullSource{}, fmt.Errorf("core: set %q is stored per-model: %w", setID, ErrPullUnavailable)
 }
 
 // frameParams serializes a model's parameters as a self-describing

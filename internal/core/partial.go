@@ -72,21 +72,23 @@ func validateIndices(indices []int, numModels int) ([]int, error) {
 	return out, nil
 }
 
-// rangedModels reads the selected models out of a fullSave parameter
-// blob using ranged reads, one independent read+decode per index. In
-// degraded mode (rs), models whose range fails to read or decode are
-// skipped instead of failing the call.
-func rangedModels(ctx context.Context, st Stores, blobPrefix string, meta setMeta, indices []int, workers int, rs *recoverSettings) (*PartialRecovery, error) {
-	arch, err := loadArchBlob(st, blobPrefix+"/"+meta.SetID+"/arch.json")
+// readFullModels is approachImpl's full-snapshot default: it reads the
+// selected models out of a fullSave parameter blob using ranged reads,
+// one independent read+decode per index. In degraded mode (rs), models
+// whose range fails to read or decode are skipped instead of failing
+// the call.
+func (b *approachBase) readFullModels(ctx context.Context, meta setMeta, indices []int, rs *recoverSettings) (*PartialRecovery, error) {
+	st, workers := b.stores, b.workers
+	arch, err := loadArchBlob(st, b.layout.blobKey(meta.SetID, archFile))
 	if err != nil {
 		return nil, err
 	}
 	perModel := int64(arch.ParamBytes())
-	key := blobPrefix + "/" + meta.SetID + "/params.bin"
+	key := b.layout.blobKey(meta.SetID, paramsFile)
 	// Dedup saves persisted a chunk index: load it once and resolve
 	// each model's chunks from it directly. Sets without one (plain
 	// saves, pre-index stores) use ranged blob reads — same bytes.
-	ix, err := loadChunkIndex(st, blobPrefix, meta.SetID)
+	ix, err := loadChunkIndex(st, b.layout, meta.SetID)
 	if err != nil {
 		return nil, err
 	}
@@ -131,65 +133,13 @@ func rangedModels(ctx context.Context, st Stores, blobPrefix string, meta setMet
 	return out, nil
 }
 
-// RecoverModelsContext implements PartialRecoverer for Baseline.
-func (b *Baseline) RecoverModelsContext(ctx context.Context, setID string, indices []int, opts ...RecoverOption) (*PartialRecovery, error) {
-	rs := newRecoverSettings(opts)
-	sp := b.metrics.begin("partial_recover", setID)
-	rec, err := b.recoverModels(ctx, setID, indices, rs)
-	rec, err = rs.finish(setID, rec, err)
-	b.metrics.endRecover(sp, 0, err)
-	b.metrics.degradedSkips(rs.skipCount())
-	return rec, err
-}
-
-func (b *Baseline) recoverModels(ctx context.Context, setID string, indices []int, rs *recoverSettings) (*PartialRecovery, error) {
-	meta, err := loadMeta(b.stores, baselineCollection, setID)
-	if err != nil {
-		return nil, err
-	}
-	if meta.Approach != b.Name() {
-		return nil, fmt.Errorf("core: set %q was saved by %s, not Baseline", setID, meta.Approach)
-	}
-	idx, err := validateIndices(indices, meta.NumModels)
-	if err != nil {
-		return nil, err
-	}
-	return rangedModels(ctx, b.stores, baselineBlobPrefix, meta, idx, b.workers, rs)
-}
-
-// RecoverModels implements PartialRecoverer.
-//
-// Deprecated: use RecoverModelsContext.
-func (b *Baseline) RecoverModels(setID string, indices []int) (*PartialRecovery, error) {
-	return b.RecoverModelsContext(context.Background(), setID, indices)
-}
-
-// RecoverModelsContext implements PartialRecoverer for MMlibBase.
-func (m *MMlibBase) RecoverModelsContext(ctx context.Context, setID string, indices []int, opts ...RecoverOption) (*PartialRecovery, error) {
-	rs := newRecoverSettings(opts)
-	sp := m.metrics.begin("partial_recover", setID)
-	rec, err := m.recoverModels(ctx, setID, indices, rs)
-	rec, err = rs.finish(setID, rec, err)
-	m.metrics.endRecover(sp, 0, err)
-	m.metrics.degradedSkips(rs.skipCount())
-	return rec, err
-}
-
-func (m *MMlibBase) recoverModels(ctx context.Context, setID string, indices []int, rs *recoverSettings) (*PartialRecovery, error) {
-	meta, err := loadMeta(m.stores, mmlibSetCollection, setID)
-	if err != nil {
-		return nil, err
-	}
-	if meta.Approach != m.Name() {
-		return nil, fmt.Errorf("core: set %q was saved by %s, not MMlib-base", setID, meta.Approach)
-	}
-	idx, err := validateIndices(indices, meta.NumModels)
-	if err != nil {
-		return nil, err
-	}
+// readFullModels implements approachImpl for MMlibBase: load exactly
+// the selected models' bundles.
+func (m *MMlibBase) readFullModels(ctx context.Context, meta setMeta, idx []int, rs *recoverSettings) (*PartialRecovery, error) {
+	setID := meta.SetID
 	models := make([]*nn.Model, len(idx))
 	archs := make([]*nn.Architecture, len(idx))
-	err = pool.Run(ctx, m.workers, len(idx), func(k int) error {
+	err := pool.Run(ctx, m.workers, len(idx), func(k int) error {
 		model, arch, err := m.recoverOne(setID, idx[k])
 		if err != nil {
 			if rs.skip(idx[k], err) {
@@ -214,17 +164,10 @@ func (m *MMlibBase) recoverModels(ctx context.Context, setID string, indices []i
 	return out, nil
 }
 
-// RecoverModels implements PartialRecoverer.
-//
-// Deprecated: use RecoverModelsContext.
-func (m *MMlibBase) RecoverModels(setID string, indices []int) (*PartialRecovery, error) {
-	return m.RecoverModelsContext(context.Background(), setID, indices)
-}
-
 // recoverOne loads one model the MMlib way (all three documents plus
 // both blobs).
 func (m *MMlibBase) recoverOne(setID string, i int) (*nn.Model, *nn.Architecture, error) {
-	modelID := fmt.Sprintf("%s-m%05d", setID, i)
+	modelID := mmlibModelID(setID, i)
 	var mm modelMeta
 	if err := m.stores.Docs.Get(mmlibMetaCollection, modelID, &mm); err != nil {
 		return nil, nil, fmt.Errorf("core: loading metadata of model %d: %w", i, err)
@@ -237,11 +180,11 @@ func (m *MMlibBase) recoverOne(setID string, i int) (*nn.Model, *nn.Architecture
 	if err := m.stores.Docs.Get(mmlibCodeCollection, mm.CodeDocID, &cd); err != nil {
 		return nil, nil, fmt.Errorf("core: loading code of model %d: %w", i, err)
 	}
-	arch, err := loadArchBlob(m.stores, fmt.Sprintf("%s/%s/%d/arch.json", mmlibBlobPrefix, setID, i))
+	arch, err := loadArchBlob(m.stores, mmlibBlobKey(setID, i, archFile))
 	if err != nil {
 		return nil, nil, fmt.Errorf("core: loading arch of model %d: %w", i, err)
 	}
-	raw, err := getBlob(m.stores, fmt.Sprintf("%s/%s/%d/params.bin", mmlibBlobPrefix, setID, i))
+	raw, err := getBlob(m.stores, mmlibBlobKey(setID, i, paramsFile))
 	if err != nil {
 		return nil, nil, fmt.Errorf("core: loading params of model %d: %w", i, err)
 	}
@@ -270,49 +213,17 @@ func paramByteSizes(arch *nn.Architecture) []int {
 	return sizes
 }
 
-// RecoverModelsContext implements PartialRecoverer for Update.
-func (u *Update) RecoverModelsContext(ctx context.Context, setID string, indices []int, opts ...RecoverOption) (*PartialRecovery, error) {
-	rs := newRecoverSettings(opts)
-	sp := u.metrics.begin("partial_recover", setID)
-	visited := map[string]bool{}
-	rec, err := u.recoverModels(ctx, setID, indices, visited, rs)
-	rec, err = rs.finish(setID, rec, err)
-	u.metrics.endRecover(sp, len(visited)-1, err)
-	u.metrics.degradedSkips(rs.skipCount())
-	return rec, err
-}
-
-func (u *Update) recoverModels(ctx context.Context, setID string, indices []int, visited map[string]bool, rs *recoverSettings) (*PartialRecovery, error) {
-	if err := checkChain(visited, setID); err != nil {
-		return nil, err
-	}
-	meta, err := loadMeta(u.stores, updateCollection, setID)
-	if err != nil {
-		return nil, err
-	}
-	if meta.Approach != u.Name() {
-		return nil, fmt.Errorf("core: set %q was saved by %s, not Update", setID, meta.Approach)
-	}
-	idx, err := validateIndices(indices, meta.NumModels)
-	if err != nil {
-		return nil, err
-	}
-	if meta.Kind == "full" {
-		return rangedModels(ctx, u.stores, updateBlobPrefix, meta, idx, u.workers, rs)
-	}
-
-	base, err := u.recoverModels(ctx, meta.Base, idx, visited, rs)
-	if err != nil {
-		return nil, fmt.Errorf("core: recovering base of %q: %w", setID, err)
-	}
-
+// applyModels implements approachImpl for Update: apply only the
+// selected models' diff segments, located by computed offsets.
+func (u *Update) applyModels(ctx context.Context, meta setMeta, base *PartialRecovery, idx []int, rs *recoverSettings) error {
+	setID := meta.SetID
 	var diff diffDoc
 	if err := u.stores.Docs.Get(updateDiffCollection, setID, &diff); err != nil {
-		return nil, fmt.Errorf("core: loading diff list: %w", err)
+		return fmt.Errorf("core: loading diff list: %w", err)
 	}
 	var stored hashDoc
 	if err := u.stores.Docs.Get(updateHashCollection, setID, &stored); err != nil {
-		return nil, fmt.Errorf("core: loading hash info: %w", err)
+		return fmt.Errorf("core: loading hash info: %w", err)
 	}
 
 	wanted := make(map[int]bool, len(idx))
@@ -320,7 +231,7 @@ func (u *Update) recoverModels(ctx context.Context, setID string, indices []int,
 		wanted[i] = true
 	}
 	sizes := paramByteSizes(base.Arch)
-	blobKey := updateBlobPrefix + "/" + setID + "/diff.bin"
+	blobKey := u.layout.blobKey(setID, diffFile)
 
 	// Walk the diff list once to locate the wanted entries' offsets; the
 	// selected segments then read and apply independently. The walk also
@@ -335,11 +246,11 @@ func (u *Update) recoverModels(ctx context.Context, setID string, indices []int,
 	var off int64
 	for _, e := range diff.Entries {
 		if e.P < 0 || e.P >= len(sizes) {
-			return nil, fmt.Errorf("core: diff references parameter %d of model %d", e.P, e.M)
+			return fmt.Errorf("core: diff references parameter %d of model %d", e.P, e.M)
 		}
 		if wanted[e.M] {
 			if seen[e] {
-				return nil, fmt.Errorf("core: duplicate diff entry (%d,%d): %w", e.M, e.P, ErrCorruptBlob)
+				return fmt.Errorf("core: duplicate diff entry (%d,%d): %w", e.M, e.P, ErrCorruptBlob)
 			}
 			seen[e] = true
 			apply = append(apply, application{e: e, off: off})
@@ -354,14 +265,14 @@ func (u *Update) recoverModels(ctx context.Context, setID string, indices []int,
 	if id := diffCodecID(diff); id != "" {
 		raw, err := getBlob(u.stores, blobKey)
 		if err != nil {
-			return nil, fmt.Errorf("core: loading diff blob: %w", err)
+			return fmt.Errorf("core: loading diff blob: %w", err)
 		}
 		if whole, err = decodeDiffBlob(u.metrics.reg, raw, int(off), id); err != nil {
-			return nil, err
+			return err
 		}
 	}
 
-	err = pool.Run(ctx, u.workers, len(apply), func(k int) error {
+	return pool.Run(ctx, u.workers, len(apply), func(k int) error {
 		e, off := apply[k].e, apply[k].off
 		one := func() error {
 			size := int64(sizes[e.P])
@@ -408,64 +319,22 @@ func (u *Update) recoverModels(ctx context.Context, setID string, indices []int,
 		}
 		return nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	return base, nil
 }
 
-// RecoverModels implements PartialRecoverer.
-//
-// Deprecated: use RecoverModelsContext.
-func (u *Update) RecoverModels(setID string, indices []int) (*PartialRecovery, error) {
-	return u.RecoverModelsContext(context.Background(), setID, indices)
-}
-
-// RecoverModelsContext implements PartialRecoverer for Provenance.
-func (p *Provenance) RecoverModelsContext(ctx context.Context, setID string, indices []int, opts ...RecoverOption) (*PartialRecovery, error) {
-	rs := newRecoverSettings(opts)
-	sp := p.metrics.begin("partial_recover", setID)
-	visited := map[string]bool{}
-	rec, err := p.recoverModels(ctx, setID, indices, visited, rs)
-	rec, err = rs.finish(setID, rec, err)
-	p.metrics.endRecover(sp, len(visited)-1, err)
-	p.metrics.degradedSkips(rs.skipCount())
-	return rec, err
-}
-
-func (p *Provenance) recoverModels(ctx context.Context, setID string, indices []int, visited map[string]bool, rs *recoverSettings) (*PartialRecovery, error) {
-	if err := checkChain(visited, setID); err != nil {
-		return nil, err
-	}
-	meta, err := loadMeta(p.stores, provenanceCollection, setID)
-	if err != nil {
-		return nil, err
-	}
-	if meta.Approach != p.Name() {
-		return nil, fmt.Errorf("core: set %q was saved by %s, not Provenance", setID, meta.Approach)
-	}
-	idx, err := validateIndices(indices, meta.NumModels)
-	if err != nil {
-		return nil, err
-	}
-	if meta.Kind == "full" {
-		return rangedModels(ctx, p.stores, provenanceBlobPrefix, meta, idx, p.workers, rs)
-	}
-
-	base, err := p.recoverModels(ctx, meta.Base, idx, visited, rs)
-	if err != nil {
-		return nil, fmt.Errorf("core: recovering base of %q: %w", setID, err)
-	}
+// applyModels implements approachImpl for Provenance: re-execute only
+// the selected models' trainings.
+func (p *Provenance) applyModels(ctx context.Context, meta setMeta, base *PartialRecovery, idx []int, rs *recoverSettings) error {
+	setID := meta.SetID
 	var train TrainInfo
 	if err := p.stores.Docs.Get(provenanceTrainCollection, setID, &train); err != nil {
-		return nil, fmt.Errorf("core: loading training info: %w", err)
+		return fmt.Errorf("core: loading training info: %w", err)
 	}
 	if current := env.Capture(); !train.Environment.Equal(current) {
-		return nil, fmt.Errorf("core: recorded environment does not match current; provenance recovery would not reproduce the saved models")
+		return fmt.Errorf("core: recorded environment does not match current; provenance recovery would not reproduce the saved models")
 	}
 	var updates updatesDoc
 	if err := p.stores.Docs.Get(provenanceUpdateCollection, setID, &updates); err != nil {
-		return nil, fmt.Errorf("core: loading update records: %w", err)
+		return fmt.Errorf("core: loading update records: %w", err)
 	}
 	wanted := make(map[int]bool, len(idx))
 	for _, i := range idx {
@@ -484,7 +353,7 @@ func (p *Provenance) recoverModels(ctx context.Context, setID string, indices []
 		}
 		perModel[u.ModelIndex] = append(perModel[u.ModelIndex], u)
 	}
-	err = pool.Run(ctx, p.workers, len(order), func(k int) error {
+	return pool.Run(ctx, p.workers, len(order), func(k int) error {
 		idx := order[k]
 		one := func() error {
 			for _, u := range perModel[idx] {
@@ -510,28 +379,4 @@ func (p *Provenance) recoverModels(ctx context.Context, setID string, indices []
 		}
 		return nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	return base, nil
 }
-
-// RecoverModels implements PartialRecoverer.
-//
-// Deprecated: use RecoverModelsContext.
-func (p *Provenance) RecoverModels(setID string, indices []int) (*PartialRecovery, error) {
-	return p.RecoverModelsContext(context.Background(), setID, indices)
-}
-
-// compile-time interface checks: all four approaches implement the
-// context-aware Approach and PartialRecoverer contracts.
-var (
-	_ Approach         = (*Baseline)(nil)
-	_ Approach         = (*Update)(nil)
-	_ Approach         = (*Provenance)(nil)
-	_ Approach         = (*MMlibBase)(nil)
-	_ PartialRecoverer = (*Baseline)(nil)
-	_ PartialRecoverer = (*Update)(nil)
-	_ PartialRecoverer = (*Provenance)(nil)
-	_ PartialRecoverer = (*MMlibBase)(nil)
-)

@@ -101,8 +101,7 @@ func TestPartialRecoveryUpdateTouchedAndUntouched(t *testing.T) {
 
 func TestPartialRecoveryUpdateCompressed(t *testing.T) {
 	st := NewMemStores()
-	u := NewUpdate(st)
-	u.Compress = true
+	u := NewUpdate(st, WithCodec("zlib"))
 	set := mustNewSetArch(t, nn.FFNN48(), 6)
 	resFull := mustSave(t, u, SaveRequest{Set: set})
 	// Compressible change (sparsified layer) plus a trained change.

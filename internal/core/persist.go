@@ -4,52 +4,52 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"strconv"
+	"strings"
 	"sync"
 
 	"github.com/mmm-go/mmm/internal/codec"
 	"github.com/mmm-go/mmm/internal/core/pool"
 	"github.com/mmm-go/mmm/internal/nn"
 	"github.com/mmm-go/mmm/internal/obs"
-	"github.com/mmm-go/mmm/internal/storage/backend"
 	"github.com/mmm-go/mmm/internal/storage/cas"
 )
 
-// setMeta is the per-set metadata document shared by all approaches.
-// For the full-snapshot approaches this is the *only* metadata saved
-// for the whole set — the core of optimization O1.
-type setMeta struct {
-	SetID      string `json:"set_id"`
-	Approach   string `json:"approach"`
-	Kind       string `json:"kind"` // "full" or "derived"
-	Base       string `json:"base,omitempty"`
-	Depth      int    `json:"depth"` // recovery-chain length; 0 for full saves
-	ArchName   string `json:"arch_name"`
-	NumModels  int    `json:"num_models"`
-	ParamCount int    `json:"param_count"`
-	// Codec is the compression codec ID the set was saved with (""
-	// for none, including every pre-codec set). Recovery never needs
-	// it — encoded artifacts are self-describing — but du, inspect,
-	// and the server surface it.
-	Codec string `json:"codec,omitempty"`
-}
+// setMeta is the per-set metadata document shared by all approaches —
+// the same document SetInfo exposes. For the full-snapshot approaches
+// this is the *only* metadata saved for the whole set — the core of
+// optimization O1.
+type setMeta = SetInfo
 
-// idAllocator hands out sequential set IDs per approach, resuming from
-// whatever is already stored (so reopened on-disk stores keep counting).
+// idAllocator hands out sequential set IDs per approach. Every
+// allocation resumes above the largest sequence number among the IDs
+// already stored — not their count, which shrinks when sets are
+// pruned — so a reopened store is never handed the ID of a live set:
+// any stored ID equal to the candidate would have parsed to the
+// candidate's number and pushed the counter past it. The counter only
+// moves forward, which keeps concurrent saves that listed the same
+// existing IDs apart.
 type idAllocator struct {
 	mu     sync.Mutex
 	prefix string
 	next   int
-	inited bool
 }
 
 func (a *idAllocator) allocate(existing []string) string {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	if !a.inited {
-		a.next = len(existing) + 1
-		a.inited = true
+	if a.next < 1 {
+		a.next = 1
 	}
-	id := fmt.Sprintf("%s-%06d", a.prefix, a.next)
+	prefix := a.prefix + "-"
+	for _, id := range existing {
+		if seq, ok := strings.CutPrefix(id, prefix); ok {
+			if n, err := strconv.Atoi(seq); err == nil && n >= a.next {
+				a.next = n + 1
+			}
+		}
+	}
+	id := fmt.Sprintf("%s%06d", prefix, a.next)
 	a.next++
 	return id
 }
@@ -106,6 +106,7 @@ type saveOp struct {
 	codecID string      // configured codec ID as persisted in metadata
 	workers int         // encode fan-out under dedup
 	reg     *obs.Registry
+	span    *obs.Span // the save's trace span, for phase marks
 	mu      sync.Mutex
 	bytes   int64
 	ops     int64
@@ -120,10 +121,6 @@ type savedBlob struct {
 	dedup bool
 }
 
-func newSaveOp(st Stores, dedup bool, cdc codec.Codec, codecID string, workers int, reg *obs.Registry) *saveOp {
-	return &saveOp{st: st, dedup: dedup, codec: cdc, codecID: codecID, workers: workers, reg: reg}
-}
-
 // putBlob writes a blob and records its cost.
 func (op *saveOp) putBlob(key string, data []byte) error {
 	return op.putBlobHinted(key, data, cas.Hints{})
@@ -136,26 +133,14 @@ func (op *saveOp) putBlob(key string, data []byte) error {
 // refcount updates are bookkeeping and not counted as write ops.
 func (op *saveOp) putBlobHinted(key string, data []byte, hints cas.Hints) error {
 	if !op.dedup {
-		if err := op.st.Blobs.Put(key, data); err != nil {
-			return err
-		}
-		op.mu.Lock()
-		op.bytes += int64(len(data))
-		op.ops++
-		op.blobs = append(op.blobs, savedBlob{key: key})
-		op.mu.Unlock()
-		return nil
+		return op.putPlain(key, data)
 	}
 	res, err := cas.For(op.st.Blobs).PutEncoded(key, data, 0, hints,
 		cas.Encoding{Codec: op.codec, Workers: op.workers}, op.reg)
 	if err != nil {
 		return err
 	}
-	op.mu.Lock()
-	op.bytes += res.PhysicalBytes
-	op.ops += res.WriteOps
-	op.blobs = append(op.blobs, savedBlob{key: key, dedup: true})
-	op.mu.Unlock()
+	op.wrote(res.PhysicalBytes, res.WriteOps, savedBlob{key: key, dedup: true})
 	return nil
 }
 
@@ -165,16 +150,29 @@ func (op *saveOp) putBlobHinted(key string, data []byte, hints cas.Hints) error 
 // through the CAS layer they describe. Any cached parse of a previous
 // blob under the key is invalidated.
 func (op *saveOp) putBlobRaw(key string, data []byte) error {
-	if err := op.st.Blobs.Put(key, data); err != nil {
+	if err := op.putPlain(key, data); err != nil {
 		return err
 	}
 	cas.For(op.st.Blobs).InvalidateRaw(key)
-	op.mu.Lock()
-	op.bytes += int64(len(data))
-	op.ops++
-	op.blobs = append(op.blobs, savedBlob{key: key})
-	op.mu.Unlock()
 	return nil
+}
+
+// putPlain writes one raw blob and records its cost.
+func (op *saveOp) putPlain(key string, data []byte) error {
+	if err := op.st.Blobs.Put(key, data); err != nil {
+		return err
+	}
+	op.wrote(int64(len(data)), 1, savedBlob{key: key})
+	return nil
+}
+
+// wrote records one blob write's cost and its rollback entry.
+func (op *saveOp) wrote(bytes, ops int64, blob savedBlob) {
+	op.mu.Lock()
+	op.bytes += bytes
+	op.ops += ops
+	op.blobs = append(op.blobs, blob)
+	op.mu.Unlock()
 }
 
 // insertDoc writes a document and records its cost (the encoded JSON
@@ -301,32 +299,30 @@ func loadArchBlob(st Stores, key string) (*nn.Architecture, error) {
 	return &arch, nil
 }
 
+// newMeta is the metadata document of a full save of req under setID;
+// derived saves adjust kind, base and depth.
+func (op *saveOp) newMeta(label, setID string, req SaveRequest) setMeta {
+	return setMeta{
+		SetID: setID, Approach: label, Kind: "full",
+		ArchName: req.Set.Arch.Name, NumModels: len(req.Set.Models),
+		ParamCount: req.Set.Arch.ParamCount(), Codec: op.codecID,
+	}
+}
+
 // fullSave implements "Baseline's logic": one metadata document, one
 // architecture blob, one concatenated parameter blob. Update and
-// Provenance reuse it for their initial sets. extend, when non-nil, may
-// mutate the metadata document before it is written. The metadata
-// document is written last: a set only becomes visible once its
-// artifacts are complete. preMeta, when non-nil, runs after the blobs
-// but before the metadata document — the hook for approaches that must
-// persist auxiliary documents inside the same commit boundary (a crash
-// after the metadata write must never leave them missing).
-func fullSave(ctx context.Context, op *saveOp, collection, blobPrefix, approach, setID string, req SaveRequest, extend func(*setMeta), preMeta func() error, workers int) error {
-	meta := setMeta{
-		SetID:      setID,
-		Approach:   approach,
-		Kind:       "full",
-		ArchName:   req.Set.Arch.Name,
-		NumModels:  len(req.Set.Models),
-		ParamCount: req.Set.Arch.ParamCount(),
-		Codec:      op.codecID,
-	}
-	if extend != nil {
-		extend(&meta)
-	}
-	if err := saveArchBlob(op, blobPrefix+"/"+setID+"/arch.json", req.Set.Arch); err != nil {
+// Provenance reuse it for their initial sets. The metadata document is
+// written last: a set only becomes visible once its artifacts are
+// complete. preMeta, when non-nil, runs after the blobs but before the
+// metadata document — the hook for approaches that must persist
+// auxiliary documents inside the same commit boundary (a crash after
+// the metadata write must never leave them missing).
+func (b *approachBase) fullSave(ctx context.Context, op *saveOp, setID string, req SaveRequest, preMeta func() error) error {
+	l := b.layout
+	if err := saveArchBlob(op, l.blobKey(setID, archFile), req.Set.Arch); err != nil {
 		return err
 	}
-	params, err := concatParams(ctx, req.Set, workers)
+	params, err := concatParams(ctx, req.Set, b.workers)
 	if err != nil {
 		return err
 	}
@@ -336,14 +332,14 @@ func fullSave(ctx context.Context, op *saveOp, collection, blobPrefix, approach,
 	// Chunking at model-size stride keeps every unchanged model's
 	// chunks byte-identical across saves — the layout-stability the
 	// dedup layer's write-skipping depends on.
-	if err := op.putBlobHinted(blobPrefix+"/"+setID+"/params.bin", params,
+	if err := op.putBlobHinted(l.blobKey(setID, paramsFile), params,
 		cas.Hints{Stride: req.Set.Arch.ParamBytes()}); err != nil {
 		return fmt.Errorf("core: writing parameters: %w", err)
 	}
 	// Dedup saves also persist the params blob's chunk index, inside
 	// the commit boundary: selective recovery resolves chunks from it
 	// without walking the recipe.
-	if err := writeChunkIndex(op, blobPrefix, setID, int64(req.Set.Arch.ParamBytes())); err != nil {
+	if err := writeChunkIndex(op, l, setID, int64(req.Set.Arch.ParamBytes())); err != nil {
 		return err
 	}
 	if err := ctx.Err(); err != nil {
@@ -354,35 +350,21 @@ func fullSave(ctx context.Context, op *saveOp, collection, blobPrefix, approach,
 			return err
 		}
 	}
-	if err := op.insertDoc(collection, setID, meta); err != nil {
+	if err := op.insertDoc(l.collection, setID, op.newMeta(l.label, setID, req)); err != nil {
 		return fmt.Errorf("core: writing metadata: %w", err)
 	}
 	return nil
 }
 
-// fullRecover reverses fullSave.
-func fullRecover(ctx context.Context, st Stores, blobPrefix string, meta setMeta, workers int) (*ModelSet, error) {
-	arch, err := loadArchBlob(st, blobPrefix+"/"+meta.SetID+"/arch.json")
+// readFull is approachImpl's full-snapshot default: reverse fullSave.
+func (b *approachBase) readFull(ctx context.Context, meta setMeta) (*ModelSet, error) {
+	arch, err := loadArchBlob(b.stores, b.layout.blobKey(meta.SetID, archFile))
 	if err != nil {
 		return nil, err
 	}
-	data, err := getBlob(st, blobPrefix+"/"+meta.SetID+"/params.bin")
+	data, err := getBlob(b.stores, b.layout.blobKey(meta.SetID, paramsFile))
 	if err != nil {
 		return nil, fmt.Errorf("core: reading parameters: %w", err)
 	}
-	return buildSetFromParams(ctx, arch, meta.NumModels, data, workers)
-}
-
-// loadMeta fetches a set's metadata document. A missing document means
-// the set was never saved (in this approach's namespace): callers get
-// an error wrapping ErrSetNotFound.
-func loadMeta(st Stores, collection, setID string) (setMeta, error) {
-	var meta setMeta
-	if err := st.Docs.Get(collection, setID, &meta); err != nil {
-		if backend.IsNotFound(err) {
-			return setMeta{}, fmt.Errorf("core: loading metadata of %q: %w", setID, ErrSetNotFound)
-		}
-		return setMeta{}, fmt.Errorf("core: loading metadata of %q: %w", setID, err)
-	}
-	return meta, nil
+	return buildSetFromParams(ctx, arch, meta.NumModels, data, b.workers)
 }

@@ -23,12 +23,7 @@ import (
 // the associated dataset". Because this library's trainer is
 // bit-deterministic, recovery is exact.
 type Provenance struct {
-	stores  Stores
-	ids     idAllocator
-	workers int
-	metrics *approachObs
-	dedup   bool
-	codec   string
+	approachBase
 
 	// RecoveryBudget, when non-nil, caps the retraining work during
 	// recovery — the paper's own measurement trick ("we — exclusively
@@ -57,91 +52,35 @@ type RecoveryBudget struct {
 	MaxEpochs int
 }
 
-// Collections and blob namespace of Provenance.
-const (
-	provenanceCollection       = "provenance_sets"
-	provenanceTrainCollection  = "provenance_train"
-	provenanceUpdateCollection = "provenance_updates"
-	provenanceBlobPrefix       = "provenance"
-)
-
 // NewProvenance returns a Provenance approach over the given stores.
 func NewProvenance(stores Stores, opts ...Option) *Provenance {
-	s := newSettings(opts)
-	s.attachCache(stores)
-	return &Provenance{stores: stores, ids: idAllocator{prefix: "pv"}, workers: s.workers,
-		metrics: newApproachObs(s.metrics, "Provenance"), dedup: s.dedup, codec: s.codec}
+	p := &Provenance{}
+	p.setup(provenanceLayout, p, stores, opts)
+	return p
 }
-
-// Name implements Approach.
-func (p *Provenance) Name() string { return "Provenance" }
 
 // updatesDoc persists the per-model update records of one derived set.
 type updatesDoc struct {
 	Updates []ModelUpdate `json:"updates"`
 }
 
-// SaveContext implements Approach. Initial sets are saved with
+// write implements approachImpl. Initial sets are saved with
 // Baseline's logic (complete representations); derived sets save
 // provenance only.
-func (p *Provenance) SaveContext(ctx context.Context, req SaveRequest) (SaveResult, error) {
-	sp := p.metrics.begin("save", "")
-	res, err := p.save(ctx, req)
-	sp.SetID = res.SetID
-	p.metrics.endSave(sp, res, err)
-	return res, err
-}
-
-func (p *Provenance) save(ctx context.Context, req SaveRequest) (SaveResult, error) {
-	if err := validateSave(req); err != nil {
-		return SaveResult{}, err
-	}
-	if err := ctx.Err(); err != nil {
-		return SaveResult{}, err
-	}
-
-	existing, err := p.stores.Docs.IDs(provenanceCollection)
-	if err != nil {
-		return SaveResult{}, err
-	}
-	setID, err := chooseSetID(req, &p.ids, existing)
-	if err != nil {
-		return SaveResult{}, err
-	}
-
+func (p *Provenance) write(ctx context.Context, op *saveOp, setID string, req SaveRequest) error {
 	full := req.Base == ""
 	if !full && p.SnapshotInterval > 0 {
-		baseMeta, err := loadMeta(p.stores, provenanceCollection, req.Base)
+		baseMeta, err := loadMeta(p.stores, p.layout, req.Base)
 		if err != nil {
-			return SaveResult{}, fmt.Errorf("core: provenance save: %w", err)
+			return fmt.Errorf("core: provenance save: %w", err)
 		}
-		if baseMeta.Depth+1 >= p.SnapshotInterval {
-			// Cut the retraining chain with a full snapshot.
-			full = true
-		}
+		// Cut the retraining chain with a full snapshot.
+		full = baseMeta.Depth+1 >= p.SnapshotInterval
 	}
-	cdc, err := resolveCodec(p.codec)
-	if err != nil {
-		return SaveResult{}, err
-	}
-	op := newSaveOp(p.stores, p.dedup, cdc, p.codec, p.workers, p.metrics.reg)
 	if full {
-		err = fullSave(ctx, op, provenanceCollection, provenanceBlobPrefix, p.Name(), setID, req, nil, nil, p.workers)
-	} else {
-		err = p.saveDerived(ctx, op, setID, req)
+		return p.fullSave(ctx, op, setID, req, nil)
 	}
-	if err != nil {
-		op.rollback()
-		return SaveResult{}, err
-	}
-	return op.result(setID), nil
-}
-
-// Save implements Approach.
-//
-// Deprecated: use SaveContext.
-func (p *Provenance) Save(req SaveRequest) (SaveResult, error) {
-	return p.SaveContext(context.Background(), req)
+	return p.saveDerived(ctx, op, setID, req)
 }
 
 func (p *Provenance) saveDerived(ctx context.Context, op *saveOp, setID string, req SaveRequest) error {
@@ -151,21 +90,9 @@ func (p *Provenance) saveDerived(ctx context.Context, op *saveOp, setID string, 
 	if err := req.Train.Config.Validate(); err != nil {
 		return fmt.Errorf("core: provenance training config: %w", err)
 	}
-	baseMeta, err := loadMeta(p.stores, provenanceCollection, req.Base)
+	baseMeta, err := p.checkBase(req)
 	if err != nil {
-		return fmt.Errorf("core: provenance save: %w", err)
-	}
-	// Recovery replays training on top of the base's models, so a base
-	// with a different architecture or model count can never reproduce
-	// this set.
-	if baseMeta.ArchName != req.Set.Arch.Name || baseMeta.ParamCount != req.Set.Arch.ParamCount() {
-		return fmt.Errorf("core: provenance save: base %q is %q with %d params, set is %q with %d params: %w",
-			req.Base, baseMeta.ArchName, baseMeta.ParamCount,
-			req.Set.Arch.Name, req.Set.Arch.ParamCount(), ErrBaseMismatch)
-	}
-	if baseMeta.NumModels != len(req.Set.Models) {
-		return fmt.Errorf("core: provenance save: base has %d models, set has %d: %w",
-			baseMeta.NumModels, len(req.Set.Models), ErrBaseMismatch)
+		return err
 	}
 	// Saving provenance that cannot be resolved would make the set
 	// unrecoverable; fail fast instead.
@@ -185,64 +112,36 @@ func (p *Provenance) saveDerived(ctx context.Context, op *saveOp, setID string, 
 	if err := op.insertDoc(provenanceUpdateCollection, setID, updatesDoc{Updates: req.Updates}); err != nil {
 		return fmt.Errorf("core: writing update records: %w", err)
 	}
-	meta := setMeta{
-		SetID: setID, Approach: p.Name(), Kind: "derived",
-		Base: req.Base, Depth: baseMeta.Depth + 1,
-		ArchName: req.Set.Arch.Name, NumModels: len(req.Set.Models),
-		ParamCount: req.Set.Arch.ParamCount(), Codec: op.codecID,
-	}
+	meta := op.newMeta(p.Name(), setID, req)
+	meta.Kind, meta.Base, meta.Depth = "derived", req.Base, baseMeta.Depth+1
 	if err := op.insertDoc(provenanceCollection, setID, meta); err != nil {
 		return fmt.Errorf("core: writing metadata: %w", err)
 	}
 	return nil
 }
 
-// RecoverContext implements Approach. Re-executed trainings are the
-// single most compute-heavy loop in the repository; updates are grouped
-// by model and retrained on the worker pool — parallel across models,
-// in recorded order within each model, so the result is bit-identical
-// at any concurrency.
-func (p *Provenance) RecoverContext(ctx context.Context, setID string) (*ModelSet, error) {
-	sp := p.metrics.begin("recover", setID)
-	visited := map[string]bool{}
-	set, err := p.recover(ctx, setID, visited)
-	p.metrics.endRecover(sp, len(visited)-1, err)
-	return set, err
-}
-
-func (p *Provenance) recover(ctx context.Context, setID string, visited map[string]bool) (*ModelSet, error) {
-	if err := checkChain(visited, setID); err != nil {
-		return nil, err
-	}
-	meta, err := loadMeta(p.stores, provenanceCollection, setID)
-	if err != nil {
-		return nil, err
-	}
-	if meta.Approach != p.Name() {
-		return nil, fmt.Errorf("core: set %q was saved by %s, not Provenance", setID, meta.Approach)
-	}
-	if meta.Kind == "full" {
-		return fullRecover(ctx, p.stores, provenanceBlobPrefix, meta, p.workers)
-	}
-
-	set, err := p.recover(ctx, meta.Base, visited)
-	if err != nil {
-		return nil, fmt.Errorf("core: recovering base of %q: %w", setID, err)
-	}
-
+// apply implements approachImpl: update every recorded model of the
+// recovered base "by deterministically repeating its training on the
+// associated dataset". Re-executed trainings are the single most
+// compute-heavy loop in the repository; updates are grouped by model
+// and retrained on the worker pool — parallel across models, in
+// recorded order within each model, so the result is bit-identical at
+// any concurrency.
+func (p *Provenance) apply(ctx context.Context, meta setMeta, set *ModelSet) error {
+	setID := meta.SetID
 	var train TrainInfo
 	if err := p.stores.Docs.Get(provenanceTrainCollection, setID, &train); err != nil {
-		return nil, fmt.Errorf("core: loading training info: %w", err)
+		return fmt.Errorf("core: loading training info: %w", err)
 	}
 	// Exact reproduction is only defined for a matching environment.
 	if current := env.Capture(); !train.Environment.Equal(current) {
-		return nil, fmt.Errorf("core: recorded environment (%s/%s, %s) does not match current (%s/%s, %s); provenance recovery would not reproduce the saved models",
+		return fmt.Errorf("core: recorded environment (%s/%s, %s) does not match current (%s/%s, %s); provenance recovery would not reproduce the saved models",
 			train.Environment.OS, train.Environment.Arch, train.Environment.FrameworkVer,
 			current.OS, current.Arch, current.FrameworkVer)
 	}
 	var updates updatesDoc
 	if err := p.stores.Docs.Get(provenanceUpdateCollection, setID, &updates); err != nil {
-		return nil, fmt.Errorf("core: loading update records: %w", err)
+		return fmt.Errorf("core: loading update records: %w", err)
 	}
 
 	todo := updates.Updates
@@ -255,7 +154,7 @@ func (p *Provenance) recover(ctx context.Context, setID string, visited map[stri
 	perModel := make(map[int][]ModelUpdate, len(todo))
 	for _, u := range todo {
 		if u.ModelIndex < 0 || u.ModelIndex >= len(set.Models) {
-			return nil, fmt.Errorf("core: update record references model %d outside set of %d",
+			return fmt.Errorf("core: update record references model %d outside set of %d",
 				u.ModelIndex, len(set.Models))
 		}
 		if _, ok := perModel[u.ModelIndex]; !ok {
@@ -263,7 +162,7 @@ func (p *Provenance) recover(ctx context.Context, setID string, visited map[stri
 		}
 		perModel[u.ModelIndex] = append(perModel[u.ModelIndex], u)
 	}
-	err = pool.Run(ctx, p.workers, len(order), func(k int) error {
+	return pool.Run(ctx, p.workers, len(order), func(k int) error {
 		for _, u := range perModel[order[k]] {
 			data, err := p.stores.Datasets.Materialize(u.DatasetID)
 			if err != nil {
@@ -288,31 +187,12 @@ func (p *Provenance) recover(ctx context.Context, setID string, visited map[stri
 		}
 		return nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	return set, nil
-}
-
-// Recover implements Approach.
-//
-// Deprecated: use RecoverContext.
-func (p *Provenance) Recover(setID string) (*ModelSet, error) {
-	return p.RecoverContext(context.Background(), setID)
-}
-
-// SetIDs lists all sets saved by this approach, in save order.
-func (p *Provenance) SetIDs() ([]string, error) {
-	return p.stores.Docs.IDs(provenanceCollection)
 }
 
 // ChainDepth returns the recovery-chain length of setID.
 func (p *Provenance) ChainDepth(setID string) (int, error) {
-	meta, err := loadMeta(p.stores, provenanceCollection, setID)
-	if err != nil {
-		return 0, err
-	}
-	return meta.Depth, nil
+	meta, err := loadMeta(p.stores, p.layout, setID)
+	return meta.Depth, err
 }
 
 // truncatedData exposes only the first n samples of data.

@@ -101,21 +101,6 @@ func pruneSets(all []string, keep []string, baseOf chainCloser,
 	return report, nil
 }
 
-// deleteDocs removes documents for setID from the listed collections,
-// summing freed bytes.
-func deleteDocs(st Stores, setID string, collections ...string) (int64, error) {
-	var freed int64
-	for _, c := range collections {
-		if size, err := st.Docs.Size(c, setID); err == nil {
-			freed += size
-		}
-		if err := st.Docs.Delete(c, setID); err != nil {
-			return freed, err
-		}
-	}
-	return freed, nil
-}
-
 // deleteBlobsWithPrefix removes all logical blobs under prefix — raw
 // blobs and deduplicated ones alike — summing the bytes *physically*
 // freed. Deleting a deduplicated blob releases its chunk references;
@@ -137,104 +122,39 @@ func deleteBlobsWithPrefix(st Stores, prefix string) (int64, error) {
 	return freed, nil
 }
 
-// Prune implements Pruner for Baseline. Baseline sets are independent,
-// so the keep list needs no chain closure.
-func (b *Baseline) Prune(keep []string) (*PruneReport, error) {
+// Prune implements Pruner. For chained layouts, bases of kept derived
+// sets are retained so their recovery chains stay intact. A set is
+// deleted commit record first, then its other documents, then every
+// blob under its prefix.
+func (b *approachBase) Prune(keep []string) (*PruneReport, error) {
 	all, err := b.SetIDs()
 	if err != nil {
 		return nil, err
 	}
-	return pruneSets(all, keep,
-		func(string) (string, error) { return "", nil },
-		func(id string) (int64, error) {
-			freed, err := deleteDocs(b.stores, id, baselineCollection)
-			if err != nil {
-				return freed, err
-			}
-			blobFreed, err := deleteBlobsWithPrefix(b.stores, baselineBlobPrefix+"/"+id+"/")
-			return freed + blobFreed, err
-		})
-}
-
-// Prune implements Pruner for MMlibBase.
-func (m *MMlibBase) Prune(keep []string) (*PruneReport, error) {
-	all, err := m.SetIDs()
-	if err != nil {
-		return nil, err
+	l := b.layout
+	baseOf := func(id string) (string, error) {
+		if !l.chained {
+			return "", nil
+		}
+		meta, err := loadMeta(b.stores, l, id)
+		return meta.Base, err
 	}
-	return pruneSets(all, keep,
-		func(string) (string, error) { return "", nil },
-		func(id string) (int64, error) {
-			meta, err := loadMeta(m.stores, mmlibSetCollection, id)
-			if err != nil {
-				return 0, err
+	return pruneSets(all, keep, baseOf, func(id string) (int64, error) {
+		arts, err := l.artifactsOf(b.stores, id)
+		if err != nil && len(arts.unsafeCols) > 0 {
+			// Without metadata the set's documents cannot be enumerated.
+			return 0, err
+		}
+		var freed int64
+		for _, d := range arts.docs {
+			if size, err := b.stores.Docs.Size(d.collection, d.id); err == nil {
+				freed += size
 			}
-			freed, err := deleteDocs(m.stores, id, mmlibSetCollection)
-			if err != nil {
+			if err := b.stores.Docs.Delete(d.collection, d.id); err != nil {
 				return freed, err
 			}
-			for i := 0; i < meta.NumModels; i++ {
-				modelID := fmt.Sprintf("%s-m%05d", id, i)
-				f, err := deleteDocs(m.stores, modelID,
-					mmlibMetaCollection, mmlibEnvCollection, mmlibCodeCollection)
-				freed += f
-				if err != nil {
-					return freed, err
-				}
-			}
-			blobFreed, err := deleteBlobsWithPrefix(m.stores, mmlibBlobPrefix+"/"+id+"/")
-			return freed + blobFreed, err
-		})
-}
-
-// Prune implements Pruner for Update: bases of kept derived sets are
-// retained so their diff chains stay recoverable.
-func (u *Update) Prune(keep []string) (*PruneReport, error) {
-	all, err := u.SetIDs()
-	if err != nil {
-		return nil, err
-	}
-	return pruneSets(all, keep,
-		func(id string) (string, error) {
-			meta, err := loadMeta(u.stores, updateCollection, id)
-			if err != nil {
-				return "", err
-			}
-			return meta.Base, nil
-		},
-		func(id string) (int64, error) {
-			freed, err := deleteDocs(u.stores, id,
-				updateCollection, updateHashCollection, updateDiffCollection)
-			if err != nil {
-				return freed, err
-			}
-			blobFreed, err := deleteBlobsWithPrefix(u.stores, updateBlobPrefix+"/"+id+"/")
-			return freed + blobFreed, err
-		})
-}
-
-// Prune implements Pruner for Provenance: bases of kept derived sets
-// are retained so their training chains stay replayable.
-func (p *Provenance) Prune(keep []string) (*PruneReport, error) {
-	all, err := p.SetIDs()
-	if err != nil {
-		return nil, err
-	}
-	return pruneSets(all, keep,
-		func(id string) (string, error) {
-			meta, err := loadMeta(p.stores, provenanceCollection, id)
-			if err != nil {
-				return "", err
-			}
-			return meta.Base, nil
-		},
-		func(id string) (int64, error) {
-			freed, err := deleteDocs(p.stores, id,
-				provenanceCollection, provenanceTrainCollection, provenanceUpdateCollection)
-			if err != nil {
-				return freed, err
-			}
-			blobFreed, err := deleteBlobsWithPrefix(p.stores, provenanceBlobPrefix+"/"+id+"/")
-			return freed + blobFreed, err
-		})
+		}
+		blobFreed, err := deleteBlobsWithPrefix(b.stores, l.setPrefix(id))
+		return freed + blobFreed, err
+	})
 }

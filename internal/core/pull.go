@@ -35,10 +35,11 @@ type PullSourcer interface {
 	PullSource(setID string) (PullSource, error)
 }
 
-// fullPullSource resolves a full-snapshot set saved by fullSave: meta
-// plus the architecture blob under the approach's namespace.
-func fullPullSource(st Stores, collection, blobPrefix, setID string) (PullSource, error) {
-	meta, err := loadMeta(st, collection, setID)
+// PullSource implements PullSourcer for sets saved by fullSave: meta
+// plus the architecture blob under the approach's namespace. Derived
+// sets report ErrPullUnavailable.
+func (b *approachBase) PullSource(setID string) (PullSource, error) {
+	meta, err := loadMeta(b.stores, b.layout, setID)
 	if err != nil {
 		return PullSource{}, err
 	}
@@ -46,43 +47,14 @@ func fullPullSource(st Stores, collection, blobPrefix, setID string) (PullSource
 		return PullSource{}, fmt.Errorf("core: set %q is %s, not a full snapshot: %w",
 			setID, meta.Kind, ErrPullUnavailable)
 	}
-	arch, err := loadArchBlob(st, blobPrefix+"/"+setID+"/arch.json")
+	arch, err := loadArchBlob(b.stores, b.layout.blobKey(setID, archFile))
 	if err != nil {
 		return PullSource{}, err
 	}
 	return PullSource{
 		Arch:      arch,
 		NumModels: meta.NumModels,
-		ParamsKey: blobPrefix + "/" + setID + "/params.bin",
+		ParamsKey: b.layout.blobKey(setID, paramsFile),
 		Codec:     meta.Codec,
 	}, nil
-}
-
-// PullSource implements PullSourcer: every Baseline set is a full
-// snapshot.
-func (b *Baseline) PullSource(setID string) (PullSource, error) {
-	return fullPullSource(b.stores, baselineCollection, baselineBlobPrefix, setID)
-}
-
-// PullSource implements PullSourcer for Update's initial (full) sets;
-// derived diff chains report ErrPullUnavailable.
-func (u *Update) PullSource(setID string) (PullSource, error) {
-	return fullPullSource(u.stores, updateCollection, updateBlobPrefix, setID)
-}
-
-// PullSource implements PullSourcer for Provenance's initial (full)
-// sets; derived chains report ErrPullUnavailable.
-func (p *Provenance) PullSource(setID string) (PullSource, error) {
-	return fullPullSource(p.stores, provenanceCollection, provenanceBlobPrefix, setID)
-}
-
-// PullSource implements PullSourcer. MMlibBase stores one file per
-// model, never a single concatenated params blob, so no set it saves is
-// pullable — but a known set must still be distinguishable from a
-// missing one.
-func (m *MMlibBase) PullSource(setID string) (PullSource, error) {
-	if _, err := loadMeta(m.stores, mmlibSetCollection, setID); err != nil {
-		return PullSource{}, err
-	}
-	return PullSource{}, fmt.Errorf("core: set %q is stored per-model: %w", setID, ErrPullUnavailable)
 }

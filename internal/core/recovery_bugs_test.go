@@ -198,8 +198,7 @@ func plantCompressedDiff(t *testing.T, u *Update, st Stores) (id string, want in
 
 func TestUpdateOversizedCompressedDiffDetected(t *testing.T) {
 	st := NewMemStores()
-	u := NewUpdate(st)
-	u.Compress = true
+	u := NewUpdate(st, WithCodec("zlib"))
 	id, want := plantCompressedDiff(t, u, st)
 
 	// A decompression bomb: a small valid zlib stream that inflates to
@@ -228,8 +227,7 @@ func TestUpdateOversizedCompressedDiffDetected(t *testing.T) {
 
 func TestUpdateUndersizedCompressedDiffDetected(t *testing.T) {
 	st := NewMemStores()
-	u := NewUpdate(st)
-	u.Compress = true
+	u := NewUpdate(st, WithCodec("zlib"))
 	id, want := plantCompressedDiff(t, u, st)
 	if want < 2 {
 		t.Fatalf("diff too small to truncate (%d bytes)", want)

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
 	"strings"
 	"time"
 
@@ -34,17 +33,18 @@ type Exporter interface {
 	Export(setID string, w io.Writer) error
 }
 
-// setArtifacts enumerates one set's document keys (collection, id) and
-// blob-key prefix for export.
-type setArtifacts struct {
-	docs       [][2]string
-	blobPrefix string
-	// datasetIDs lists referenced datasets whose specs must travel too.
-	datasetIDs []string
-}
-
-// exportChain writes the artifacts of every chain element to w as tar.
-func exportChain(st Stores, chain []SetInfo, artifactsOf func(SetInfo) (setArtifacts, error), w io.Writer) error {
+// Export implements Exporter: the artifacts of every element of setID's
+// recovery chain, written to w as tar. Blobs are enumerated by prefix
+// so deduplicated sets export too, and read through the CAS layer:
+// archives carry reassembled logical bytes and stay importable into
+// any store, dedup or not. Layouts that reference external datasets
+// additionally carry the specs the chain's recovery needs.
+func (b *approachBase) Export(setID string, w io.Writer) error {
+	chain, err := b.Lineage(setID)
+	if err != nil {
+		return err
+	}
+	st, l := b.stores, b.layout
 	tw := tar.NewWriter(w)
 	writeEntry := func(name string, data []byte) error {
 		hdr := &tar.Header{
@@ -59,40 +59,37 @@ func exportChain(st Stores, chain []SetInfo, artifactsOf func(SetInfo) (setArtif
 	}
 
 	seenDatasets := map[string]bool{}
-	for _, info := range chain {
-		arts, err := artifactsOf(info)
+	for _, meta := range chain {
+		for _, d := range l.artifacts(l, meta.SetID, &meta).docs {
+			var raw json.RawMessage
+			if err := st.Docs.Get(d.collection, d.id, &raw); err != nil {
+				return fmt.Errorf("core: exporting %s/%s: %w", d.collection, d.id, err)
+			}
+			if err := writeEntry("docs/"+d.collection+"/"+d.id+".json", raw); err != nil {
+				return err
+			}
+		}
+		keys, err := blobKeysWithPrefix(st, l.setPrefix(meta.SetID))
 		if err != nil {
 			return err
 		}
-		for _, dk := range arts.docs {
-			var raw json.RawMessage
-			if err := st.Docs.Get(dk[0], dk[1], &raw); err != nil {
-				return fmt.Errorf("core: exporting %s/%s: %w", dk[0], dk[1], err)
-			}
-			if err := writeEntry("docs/"+dk[0]+"/"+dk[1]+".json", raw); err != nil {
-				return err
-			}
-		}
-		if arts.blobPrefix != "" {
-			// Enumerate logical keys so deduplicated sets export too, and
-			// read through the CAS layer: archives carry reassembled
-			// logical bytes and stay importable into any store, dedup or
-			// not.
-			keys, err := blobKeysWithPrefix(st, arts.blobPrefix)
+		for _, k := range keys {
+			data, err := getBlob(st, k)
 			if err != nil {
+				return fmt.Errorf("core: exporting blob %s: %w", k, err)
+			}
+			if err := writeEntry("blobs/"+k, data); err != nil {
 				return err
 			}
-			for _, k := range keys {
-				data, err := getBlob(st, k)
-				if err != nil {
-					return fmt.Errorf("core: exporting blob %s: %w", k, err)
-				}
-				if err := writeEntry("blobs/"+k, data); err != nil {
-					return err
-				}
-			}
 		}
-		for _, id := range arts.datasetIDs {
+		if l.datasetIDs == nil {
+			continue
+		}
+		ids, err := l.datasetIDs(st, meta)
+		if err != nil {
+			return err
+		}
+		for _, id := range ids {
 			if seenDatasets[id] {
 				continue
 			}
@@ -166,96 +163,4 @@ func ImportArchive(st Stores, r io.Reader) error {
 			return fmt.Errorf("core: unknown archive entry %q", hdr.Name)
 		}
 	}
-}
-
-// Export implements Exporter for Baseline.
-func (b *Baseline) Export(setID string, w io.Writer) error {
-	chain, err := b.Lineage(setID)
-	if err != nil {
-		return err
-	}
-	return exportChain(b.stores, chain, func(info SetInfo) (setArtifacts, error) {
-		return setArtifacts{
-			docs:       [][2]string{{baselineCollection, info.SetID}},
-			blobPrefix: baselineBlobPrefix + "/" + info.SetID + "/",
-		}, nil
-	}, w)
-}
-
-// Export implements Exporter for MMlibBase.
-func (m *MMlibBase) Export(setID string, w io.Writer) error {
-	chain, err := m.Lineage(setID)
-	if err != nil {
-		return err
-	}
-	return exportChain(m.stores, chain, func(info SetInfo) (setArtifacts, error) {
-		docs := [][2]string{{mmlibSetCollection, info.SetID}}
-		for i := 0; i < info.NumModels; i++ {
-			modelID := fmt.Sprintf("%s-m%05d", info.SetID, i)
-			docs = append(docs,
-				[2]string{mmlibMetaCollection, modelID},
-				[2]string{mmlibEnvCollection, modelID},
-				[2]string{mmlibCodeCollection, modelID},
-			)
-		}
-		return setArtifacts{
-			docs:       docs,
-			blobPrefix: mmlibBlobPrefix + "/" + info.SetID + "/",
-		}, nil
-	}, w)
-}
-
-// Export implements Exporter for Update.
-func (u *Update) Export(setID string, w io.Writer) error {
-	chain, err := u.Lineage(setID)
-	if err != nil {
-		return err
-	}
-	return exportChain(u.stores, chain, func(info SetInfo) (setArtifacts, error) {
-		docs := [][2]string{
-			{updateCollection, info.SetID},
-			{updateHashCollection, info.SetID},
-		}
-		if info.Kind == "derived" {
-			docs = append(docs, [2]string{updateDiffCollection, info.SetID})
-		}
-		return setArtifacts{
-			docs:       docs,
-			blobPrefix: updateBlobPrefix + "/" + info.SetID + "/",
-		}, nil
-	}, w)
-}
-
-// Export implements Exporter for Provenance: the archive additionally
-// carries the dataset specs the chain's training replay needs.
-func (p *Provenance) Export(setID string, w io.Writer) error {
-	chain, err := p.Lineage(setID)
-	if err != nil {
-		return err
-	}
-	return exportChain(p.stores, chain, func(info SetInfo) (setArtifacts, error) {
-		arts := setArtifacts{
-			docs:       [][2]string{{provenanceCollection, info.SetID}},
-			blobPrefix: provenanceBlobPrefix + "/" + info.SetID + "/",
-		}
-		if info.Kind == "derived" {
-			arts.docs = append(arts.docs,
-				[2]string{provenanceTrainCollection, info.SetID},
-				[2]string{provenanceUpdateCollection, info.SetID},
-			)
-			var updates updatesDoc
-			if err := p.stores.Docs.Get(provenanceUpdateCollection, info.SetID, &updates); err != nil {
-				return setArtifacts{}, fmt.Errorf("core: reading update records of %s: %w", info.SetID, err)
-			}
-			ids := map[string]bool{}
-			for _, u := range updates.Updates {
-				ids[u.DatasetID] = true
-			}
-			for id := range ids {
-				arts.datasetIDs = append(arts.datasetIDs, id)
-			}
-			sort.Strings(arts.datasetIDs)
-		}
-		return arts, nil
-	}, w)
 }

@@ -29,24 +29,12 @@ import (
 //   - WithCodec compresses the diff blob with a pluggable codec (the
 //     compression future work of §4.5).
 type Update struct {
-	stores  Stores
-	ids     idAllocator
-	workers int
-	metrics *approachObs
-	dedup   bool
-	codec   string
+	approachBase
 
 	// SnapshotInterval k > 0 forces a full snapshot whenever the
 	// recovery chain would otherwise grow to k. 0 disables snapshots
 	// (the paper's evaluated configuration).
 	SnapshotInterval int
-	// Compress enables zlib compression of derived sets' diff blobs.
-	//
-	// Deprecated: use WithCodec("zlib") — or another registered codec —
-	// at construction instead. The field keeps working as an alias for
-	// WithCodec("zlib") when no codec option was given, so existing
-	// callers and stores behave exactly as before.
-	Compress bool
 	// ModelGranularity diffs at whole-model instead of per-layer
 	// granularity: if any layer changed, all of the model's parameters
 	// are saved. The paper's approach compares "related models on a
@@ -61,29 +49,17 @@ type Update struct {
 	// compression techniques"). Retrained parameters usually move
 	// little, so the XOR stream is mostly zero bytes in the exponent
 	// and high-mantissa positions and compresses far better than raw
-	// floats; combine with Compress to realize the saving. Saving pays
+	// floats; combine with WithCodec to realize the saving. Saving pays
 	// for it by reading the changed models' base values.
 	DeltaEncoding bool
 }
 
-// Collections and blob namespace of Update.
-const (
-	updateCollection     = "update_sets"
-	updateHashCollection = "update_hashes"
-	updateDiffCollection = "update_diffs"
-	updateBlobPrefix     = "update"
-)
-
 // NewUpdate returns an Update approach over the given stores.
 func NewUpdate(stores Stores, opts ...Option) *Update {
-	s := newSettings(opts)
-	s.attachCache(stores)
-	return &Update{stores: stores, ids: idAllocator{prefix: "up"}, workers: s.workers,
-		metrics: newApproachObs(s.metrics, "Update"), dedup: s.dedup, codec: s.codec}
+	u := &Update{}
+	u.setup(updateLayout, u, stores, opts)
+	return u
 }
-
-// Name implements Approach.
-func (u *Update) Name() string { return "Update" }
 
 // hashDoc stores every model's per-layer parameter hashes, aligned
 // with the architecture's ParamKeys order.
@@ -125,77 +101,28 @@ func diffCodecID(diff diffDoc) string {
 	return ""
 }
 
-// SaveContext implements Approach.
-func (u *Update) SaveContext(ctx context.Context, req SaveRequest) (SaveResult, error) {
-	sp := u.metrics.begin("save", "")
-	res, err := u.save(ctx, sp, req)
-	sp.SetID = res.SetID
-	u.metrics.endSave(sp, res, err)
-	return res, err
-}
-
-func (u *Update) save(ctx context.Context, sp *obs.Span, req SaveRequest) (SaveResult, error) {
-	if err := validateSave(req); err != nil {
-		return SaveResult{}, err
-	}
-	if err := ctx.Err(); err != nil {
-		return SaveResult{}, err
-	}
-
-	existing, err := u.stores.Docs.IDs(updateCollection)
-	if err != nil {
-		return SaveResult{}, err
-	}
-	setID, err := chooseSetID(req, &u.ids, existing)
-	if err != nil {
-		return SaveResult{}, err
-	}
-
+// write implements approachImpl.
+func (u *Update) write(ctx context.Context, op *saveOp, setID string, req SaveRequest) error {
 	hashes, err := setHashes(ctx, req.Set, u.workers)
 	if err != nil {
-		return SaveResult{}, err
+		return err
 	}
-	sp.Phase("hash")
+	op.span.Phase("hash")
 
 	full := req.Base == ""
 	depth := 0
 	if !full {
-		baseMeta, err := loadMeta(u.stores, updateCollection, req.Base)
+		baseMeta, err := u.checkBase(req)
 		if err != nil {
-			return SaveResult{}, fmt.Errorf("core: update save: %w", err)
-		}
-		// A derived set must be structurally identical to its base:
-		// diffs are positional (model index, parameter index), so a
-		// different architecture or model count would persist a set that
-		// recovers corrupt or not at all.
-		if baseMeta.ArchName != req.Set.Arch.Name || baseMeta.ParamCount != req.Set.Arch.ParamCount() {
-			return SaveResult{}, fmt.Errorf("core: update save: base %q is %q with %d params, set is %q with %d params: %w",
-				req.Base, baseMeta.ArchName, baseMeta.ParamCount,
-				req.Set.Arch.Name, req.Set.Arch.ParamCount(), ErrBaseMismatch)
-		}
-		if baseMeta.NumModels != len(req.Set.Models) {
-			return SaveResult{}, fmt.Errorf("core: update save: base has %d models, set has %d: %w",
-				baseMeta.NumModels, len(req.Set.Models), ErrBaseMismatch)
+			return err
 		}
 		depth = baseMeta.Depth + 1
 		if u.SnapshotInterval > 0 && depth >= u.SnapshotInterval {
 			// Cut the recovery chain with a full snapshot.
 			full = true
-			depth = 0
 		}
 	}
 
-	// The deprecated Compress bool acts as WithCodec("zlib") when no
-	// codec was configured.
-	codecID := u.codec
-	if codecID == "" && u.Compress {
-		codecID = codec.ZlibID
-	}
-	cdc, err := resolveCodec(codecID)
-	if err != nil {
-		return SaveResult{}, err
-	}
-	op := newSaveOp(u.stores, u.dedup, cdc, codecID, u.workers, u.metrics.reg)
 	// The hash document is written for full and derived saves alike: it
 	// is what lets the *next* save detect changes "without having to
 	// load the full representation of the previous model". It must land
@@ -209,25 +136,15 @@ func (u *Update) save(ctx context.Context, sp *obs.Span, req SaveRequest) (SaveR
 		return nil
 	}
 	if full {
-		err = fullSave(ctx, op, updateCollection, updateBlobPrefix, u.Name(), setID, req, func(m *setMeta) {
-			m.Depth = 0
-		}, writeHashes, u.workers)
+		err = u.fullSave(ctx, op, setID, req, writeHashes)
 	} else {
 		err = u.saveDerived(ctx, op, setID, req, hashes, depth, writeHashes)
 	}
 	if err != nil {
-		op.rollback()
-		return SaveResult{}, err
+		return err
 	}
-	sp.Phase("write")
-	return op.result(setID), nil
-}
-
-// Save implements Approach.
-//
-// Deprecated: use SaveContext.
-func (u *Update) Save(req SaveRequest) (SaveResult, error) {
-	return u.SaveContext(context.Background(), req)
+	op.span.Phase("write")
+	return nil
 }
 
 // saveDerived persists only the parameters whose hashes changed
@@ -339,7 +256,7 @@ func (u *Update) saveDerived(ctx context.Context, op *saveOp, setID string, req 
 	if encodedWith == "" {
 		hints.Boundaries = offs
 	}
-	if err := op.putBlobHinted(updateBlobPrefix+"/"+setID+"/diff.bin", blob, hints); err != nil {
+	if err := op.putBlobHinted(u.layout.blobKey(setID, diffFile), blob, hints); err != nil {
 		return fmt.Errorf("core: writing diff blob: %w", err)
 	}
 	doc := diffDoc{
@@ -357,70 +274,26 @@ func (u *Update) saveDerived(ctx context.Context, op *saveOp, setID string, req 
 			return err
 		}
 	}
-	meta := setMeta{
-		SetID: setID, Approach: u.Name(), Kind: "derived",
-		Base: req.Base, Depth: depth,
-		ArchName: req.Set.Arch.Name, NumModels: len(req.Set.Models),
-		ParamCount: req.Set.Arch.ParamCount(), Codec: op.codecID,
-	}
+	meta := op.newMeta(u.Name(), setID, req)
+	meta.Kind, meta.Base, meta.Depth = "derived", req.Base, depth
 	if err := op.insertDoc(updateCollection, setID, meta); err != nil {
 		return fmt.Errorf("core: writing metadata: %w", err)
 	}
 	return nil
 }
 
-// RecoverContext implements Approach. Derived sets recover recursively:
-// "to recover a given model set saved in iteration i of U3, we have to
-// recover the model saved in the previous iteration to apply the saved
-// differences in parameters".
-func (u *Update) RecoverContext(ctx context.Context, setID string) (*ModelSet, error) {
-	sp := u.metrics.begin("recover", setID)
-	visited := map[string]bool{}
-	set, err := u.recover(ctx, setID, visited)
-	u.metrics.endRecover(sp, len(visited)-1, err)
-	return set, err
-}
-
-// checkChain guards the recursive recovery walk: every visited set ID
-// is recorded, and a revisit fails instead of recursing forever. A
-// revisit also subsumes any depth bound — set IDs are unique, so a
-// chain longer than the number of sets must repeat one. Corrupt
-// metadata is the only way to produce a cycle, hence ErrCorruptBlob.
-func checkChain(visited map[string]bool, setID string) error {
-	if visited[setID] {
-		return fmt.Errorf("core: base chain revisits set %q — metadata cycle: %w", setID, ErrCorruptBlob)
-	}
-	visited[setID] = true
-	return nil
-}
-
-func (u *Update) recover(ctx context.Context, setID string, visited map[string]bool) (*ModelSet, error) {
-	if err := checkChain(visited, setID); err != nil {
-		return nil, err
-	}
-	meta, err := loadMeta(u.stores, updateCollection, setID)
-	if err != nil {
-		return nil, err
-	}
-	if meta.Approach != u.Name() {
-		return nil, fmt.Errorf("core: set %q was saved by %s, not Update", setID, meta.Approach)
-	}
-	if meta.Kind == "full" {
-		return fullRecover(ctx, u.stores, updateBlobPrefix, meta, u.workers)
-	}
-
-	set, err := u.recover(ctx, meta.Base, visited)
-	if err != nil {
-		return nil, fmt.Errorf("core: recovering base of %q: %w", setID, err)
-	}
-
+// apply implements approachImpl: overwrite (or XOR) the changed layers
+// of the recovered base with the set's diff blob, verifying every
+// applied layer against the hashes the save recorded.
+func (u *Update) apply(ctx context.Context, meta setMeta, set *ModelSet) error {
+	setID := meta.SetID
 	var diff diffDoc
 	if err := u.stores.Docs.Get(updateDiffCollection, setID, &diff); err != nil {
-		return nil, fmt.Errorf("core: loading diff list: %w", err)
+		return fmt.Errorf("core: loading diff list: %w", err)
 	}
 	var stored hashDoc
 	if err := u.stores.Docs.Get(updateHashCollection, setID, &stored); err != nil {
-		return nil, fmt.Errorf("core: loading hash info: %w", err)
+		return fmt.Errorf("core: loading hash info: %w", err)
 	}
 
 	// Validate the diff list and precompute every entry's blob offset
@@ -432,31 +305,31 @@ func (u *Update) recover(ctx context.Context, setID string, visited map[string]b
 	seen := make(map[diffEntry]bool, len(diff.Entries))
 	for k, e := range diff.Entries {
 		if e.M < 0 || e.M >= len(set.Models) {
-			return nil, fmt.Errorf("core: diff references model %d outside set of %d", e.M, len(set.Models))
+			return fmt.Errorf("core: diff references model %d outside set of %d", e.M, len(set.Models))
 		}
 		params := set.Models[e.M].Params()
 		if e.P < 0 || e.P >= len(params) {
-			return nil, fmt.Errorf("core: diff references parameter %d of model %d", e.P, e.M)
+			return fmt.Errorf("core: diff references parameter %d of model %d", e.P, e.M)
 		}
 		if seen[e] {
-			return nil, fmt.Errorf("core: duplicate diff entry (%d,%d): %w", e.M, e.P, ErrCorruptBlob)
+			return fmt.Errorf("core: duplicate diff entry (%d,%d): %w", e.M, e.P, ErrCorruptBlob)
 		}
 		seen[e] = true
 		offs[k+1] = offs[k] + 4*params[e.P].Tensor.Len()
 	}
 	want := offs[len(diff.Entries)]
 
-	blob, err := getBlob(u.stores, updateBlobPrefix+"/"+setID+"/diff.bin")
+	blob, err := getBlob(u.stores, u.layout.blobKey(setID, diffFile))
 	if err != nil {
-		return nil, fmt.Errorf("core: loading diff blob: %w", err)
+		return fmt.Errorf("core: loading diff blob: %w", err)
 	}
 	if id := diffCodecID(diff); id != "" {
 		if blob, err = decodeDiffBlob(u.metrics.reg, blob, want, id); err != nil {
-			return nil, err
+			return err
 		}
 	}
 	if len(blob) != want {
-		return nil, fmt.Errorf("core: diff blob has %d bytes, diff list implies %d: %w",
+		return fmt.Errorf("core: diff blob has %d bytes, diff list implies %d: %w",
 			len(blob), want, ErrCorruptBlob)
 	}
 
@@ -486,10 +359,7 @@ func (u *Update) recover(ctx context.Context, setID string, visited map[string]b
 		}
 		return nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	return set, nil
+	return err
 }
 
 // decodeDiffBlob decodes an encoded diff blob known to hold exactly
@@ -510,26 +380,11 @@ func decodeDiffBlob(reg *obs.Registry, blob []byte, want int, id string) ([]byte
 	return out, nil
 }
 
-// Recover implements Approach.
-//
-// Deprecated: use RecoverContext.
-func (u *Update) Recover(setID string) (*ModelSet, error) {
-	return u.RecoverContext(context.Background(), setID)
-}
-
-// SetIDs lists all sets saved by this approach, in save order.
-func (u *Update) SetIDs() ([]string, error) {
-	return u.stores.Docs.IDs(updateCollection)
-}
-
 // ChainDepth returns how many derived sets must be recovered before
 // setID (0 for full snapshots) — the quantity SnapshotInterval bounds.
 func (u *Update) ChainDepth(setID string) (int, error) {
-	meta, err := loadMeta(u.stores, updateCollection, setID)
-	if err != nil {
-		return 0, err
-	}
-	return meta.Depth, nil
+	meta, err := loadMeta(u.stores, u.layout, setID)
+	return meta.Depth, err
 }
 
 // setHashes hashes every model's layers. Hashing is the save path's

@@ -156,8 +156,7 @@ func TestUpdateSnapshotIntervalBoundsChain(t *testing.T) {
 
 func TestUpdateCompressionRoundTripAndSmaller(t *testing.T) {
 	plain := NewUpdate(NewMemStores())
-	compressed := NewUpdate(NewMemStores())
-	compressed.Compress = true
+	compressed := NewUpdate(NewMemStores(), WithCodec("zlib"))
 
 	// A realistic compressible update: pruning-style sparsification
 	// zeroes most of a layer (common when deployed models are pruned
@@ -195,8 +194,7 @@ func TestUpdateCompressionSkippedWhenUnhelpful(t *testing.T) {
 	// Freshly trained float parameters are near-incompressible; the
 	// approach must fall back to the raw blob rather than growing it.
 	st := NewMemStores()
-	u := NewUpdate(st)
-	u.Compress = true
+	u := NewUpdate(st, WithCodec("zlib"))
 	set := mustNewSet(t, 6)
 	resFull := mustSave(t, u, SaveRequest{Set: set})
 	runCycle(t, set, st.Datasets, 1, []int{0, 1}, nil)

@@ -1,9 +1,11 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 
 	"github.com/mmm-go/mmm/internal/nn"
+	"github.com/mmm-go/mmm/internal/storage/backend"
 )
 
 // Store verification (fsck): saved sets are archives that may be kept
@@ -26,149 +28,156 @@ type Verifier interface {
 	VerifyStore() ([]Issue, error)
 }
 
-// verifyFullArtifacts checks the blobs of a fullSave.
-func verifyFullArtifacts(st Stores, blobPrefix string, meta setMeta) []Issue {
-	var issues []Issue
-	if _, err := blobSize(st, blobPrefix+"/"+meta.SetID+"/arch.json"); err != nil {
-		issues = append(issues, Issue{meta.SetID, "architecture blob missing"})
-	}
-	size, err := blobSize(st, blobPrefix+"/"+meta.SetID+"/params.bin")
-	if err != nil {
-		issues = append(issues, Issue{meta.SetID, "parameter blob missing"})
-	} else if want := int64(4 * meta.ParamCount * meta.NumModels); size != want {
-		issues = append(issues, Issue{meta.SetID,
-			fmt.Sprintf("parameter blob has %d bytes, want %d", size, want)})
-	}
-	return issues
-}
-
-// VerifyStore implements Verifier for Baseline.
-func (b *Baseline) VerifyStore() ([]Issue, error) {
+// VerifyStore implements Verifier. The existence half follows from the
+// layout alone: every committed set's documents and blobs must be
+// present, derived sets' bases must exist, and base chains must reach
+// a full snapshot. What the artifacts must *say* — sizes, coverage,
+// resolvable references — is the approach's verifySet.
+func (b *approachBase) VerifyStore() ([]Issue, error) {
 	ids, err := b.SetIDs()
 	if err != nil {
 		return nil, err
 	}
-	var issues []Issue
-	for _, id := range ids {
-		meta, err := loadMeta(b.stores, baselineCollection, id)
-		if err != nil {
-			issues = append(issues, Issue{id, "metadata unreadable"})
-			continue
-		}
-		issues = append(issues, verifyFullArtifacts(b.stores, baselineBlobPrefix, meta)...)
-	}
-	return issues, nil
-}
-
-// VerifyStore implements Verifier for MMlibBase.
-func (m *MMlibBase) VerifyStore() ([]Issue, error) {
-	ids, err := m.SetIDs()
-	if err != nil {
-		return nil, err
-	}
-	var issues []Issue
-	for _, id := range ids {
-		meta, err := loadMeta(m.stores, mmlibSetCollection, id)
-		if err != nil {
-			issues = append(issues, Issue{id, "set document unreadable"})
-			continue
-		}
-		for i := 0; i < meta.NumModels; i++ {
-			modelID := fmt.Sprintf("%s-m%05d", id, i)
-			for _, c := range []string{mmlibMetaCollection, mmlibEnvCollection, mmlibCodeCollection} {
-				ok, err := m.stores.Docs.Exists(c, modelID)
-				if err != nil || !ok {
-					issues = append(issues, Issue{id,
-						fmt.Sprintf("model %d: document %s/%s missing", i, c, modelID)})
-				}
-			}
-			for _, blob := range []string{"arch.json", "params.bin"} {
-				key := fmt.Sprintf("%s/%s/%d/%s", mmlibBlobPrefix, id, i, blob)
-				if _, err := blobSize(m.stores, key); err != nil {
-					issues = append(issues, Issue{id,
-						fmt.Sprintf("model %d: blob %s missing", i, blob)})
-				}
-			}
-		}
-	}
-	return issues, nil
-}
-
-// VerifyStore implements Verifier for Update. Beyond artifact
-// existence it checks that diff lists are consistent with blob sizes,
-// hash documents cover every model, and base chains resolve.
-func (u *Update) VerifyStore() ([]Issue, error) {
-	ids, err := u.SetIDs()
-	if err != nil {
-		return nil, err
-	}
+	st, l := b.stores, b.layout
 	known := map[string]bool{}
 	for _, id := range ids {
 		known[id] = true
 	}
-	issues := baseChainCycles(u.stores, updateCollection, ids)
+	var issues []Issue
+	if l.chained {
+		issues = baseChainCycles(st, l, ids)
+	}
 	for _, id := range ids {
-		meta, err := loadMeta(u.stores, updateCollection, id)
+		meta, err := loadMeta(st, l, id)
 		if err != nil {
 			issues = append(issues, Issue{id, "metadata unreadable"})
 			continue
 		}
-		var hashes hashDoc
-		if err := u.stores.Docs.Get(updateHashCollection, id, &hashes); err != nil {
-			issues = append(issues, Issue{id, "hash document missing"})
-		} else if len(hashes.Models) != meta.NumModels {
-			issues = append(issues, Issue{id,
-				fmt.Sprintf("hash document covers %d models, want %d", len(hashes.Models), meta.NumModels)})
-		}
-
-		if meta.Kind == "full" {
-			issues = append(issues, verifyFullArtifacts(u.stores, updateBlobPrefix, meta)...)
-			continue
-		}
-		if !known[meta.Base] {
+		if l.derived(meta) && !known[meta.Base] {
 			issues = append(issues, Issue{id, fmt.Sprintf("base set %q missing — chain broken", meta.Base)})
 		}
-		var diff diffDoc
-		if err := u.stores.Docs.Get(updateDiffCollection, id, &diff); err != nil {
-			issues = append(issues, Issue{id, "diff document missing"})
-			continue
-		}
-		size, err := blobSize(u.stores, updateBlobPrefix+"/"+id+"/diff.bin")
-		if err != nil {
-			issues = append(issues, Issue{id, "diff blob missing"})
-			continue
-		}
-		if diffCodecID(diff) == "" {
-			arch, archErr := loadArchFromChain(u.stores, updateBlobPrefix, updateCollection, meta)
-			if archErr != nil {
-				issues = append(issues, Issue{id, "cannot resolve architecture: " + archErr.Error()})
-				continue
-			}
-			sizes := paramByteSizes(arch)
-			var want int64
-			ok := true
-			for _, e := range diff.Entries {
-				if e.P < 0 || e.P >= len(sizes) || e.M < 0 || e.M >= meta.NumModels {
-					issues = append(issues, Issue{id,
-						fmt.Sprintf("diff entry (%d,%d) out of range", e.M, e.P)})
-					ok = false
-					break
-				}
-				want += int64(sizes[e.P])
-			}
-			if ok && size != want {
-				issues = append(issues, Issue{id,
-					fmt.Sprintf("diff blob has %d bytes, diff list implies %d", size, want)})
+		arts := l.artifacts(l, id, &meta)
+		for _, d := range arts.docs[1:] { // [0] is the metadata just read
+			if ok, err := st.Docs.Exists(d.collection, d.id); err != nil || !ok {
+				issues = append(issues, Issue{id, d.what + " missing"})
 			}
 		}
+		for _, bl := range arts.blobs {
+			if _, err := blobSize(st, bl.key); errors.Is(err, ErrCorruptBlob) {
+				issues = append(issues, Issue{id, bl.what + " corrupt: " + err.Error()})
+			} else if err != nil && !bl.optional {
+				issues = append(issues, Issue{id, bl.what + " missing"})
+			}
+		}
+		issues = append(issues, b.impl.verifySet(meta)...)
 	}
 	return issues, nil
+}
+
+// verifySet is the full-snapshot default: the parameter blob must hold
+// exactly the set's parameters.
+func (b *approachBase) verifySet(meta setMeta) []Issue {
+	size, err := blobSize(b.stores, b.layout.blobKey(meta.SetID, paramsFile))
+	if want := int64(4 * meta.ParamCount * meta.NumModels); err == nil && size != want {
+		return []Issue{{meta.SetID, fmt.Sprintf("parameter blob has %d bytes, want %d", size, want)}}
+	}
+	return nil
+}
+
+// verifySet implements approachImpl for MMlibBase: per-model bundles
+// are self-describing; existence is all there is to check.
+func (m *MMlibBase) verifySet(setMeta) []Issue { return nil }
+
+// verifySet implements approachImpl for Update: hash documents must
+// cover every model, and a raw diff blob must have exactly the size
+// its diff list implies.
+func (u *Update) verifySet(meta setMeta) []Issue {
+	id := meta.SetID
+	var issues []Issue
+	var hashes hashDoc
+	if err := u.stores.Docs.Get(updateHashCollection, id, &hashes); err != nil {
+		if !backend.IsNotFound(err) {
+			issues = append(issues, Issue{id, "hash document unreadable"})
+		}
+	} else if len(hashes.Models) != meta.NumModels {
+		issues = append(issues, Issue{id,
+			fmt.Sprintf("hash document covers %d models, want %d", len(hashes.Models), meta.NumModels)})
+	}
+	if meta.Kind == "full" {
+		return append(issues, u.approachBase.verifySet(meta)...)
+	}
+
+	var diff diffDoc
+	if err := u.stores.Docs.Get(updateDiffCollection, id, &diff); err != nil {
+		if !backend.IsNotFound(err) {
+			issues = append(issues, Issue{id, "diff document unreadable"})
+		}
+		return issues
+	}
+	size, err := blobSize(u.stores, u.layout.blobKey(id, diffFile))
+	if err != nil || diffCodecID(diff) != "" {
+		return issues
+	}
+	arch, err := u.loadArchFromChain(meta)
+	if err != nil {
+		return append(issues, Issue{id, "cannot resolve architecture: " + err.Error()})
+	}
+	sizes := paramByteSizes(arch)
+	var want int64
+	for _, e := range diff.Entries {
+		if e.P < 0 || e.P >= len(sizes) || e.M < 0 || e.M >= meta.NumModels {
+			return append(issues, Issue{id, fmt.Sprintf("diff entry (%d,%d) out of range", e.M, e.P)})
+		}
+		want += int64(sizes[e.P])
+	}
+	if size != want {
+		issues = append(issues, Issue{id,
+			fmt.Sprintf("diff blob has %d bytes, diff list implies %d", size, want)})
+	}
+	return issues
+}
+
+// verifySet implements approachImpl for Provenance: the training
+// config must be valid and every update record must name a model of
+// the set and a dataset the registry resolves.
+func (p *Provenance) verifySet(meta setMeta) []Issue {
+	if meta.Kind == "full" {
+		return p.approachBase.verifySet(meta)
+	}
+	id := meta.SetID
+	var issues []Issue
+	var train TrainInfo
+	if err := p.stores.Docs.Get(provenanceTrainCollection, id, &train); err != nil {
+		if !backend.IsNotFound(err) {
+			issues = append(issues, Issue{id, "training info unreadable"})
+		}
+	} else if err := train.Config.Validate(); err != nil {
+		issues = append(issues, Issue{id, "training config invalid: " + err.Error()})
+	}
+	var updates updatesDoc
+	if err := p.stores.Docs.Get(provenanceUpdateCollection, id, &updates); err != nil {
+		if !backend.IsNotFound(err) {
+			issues = append(issues, Issue{id, "update records unreadable"})
+		}
+		return issues
+	}
+	for _, u := range updates.Updates {
+		if u.ModelIndex < 0 || u.ModelIndex >= meta.NumModels {
+			issues = append(issues, Issue{id,
+				fmt.Sprintf("update references model %d outside set of %d", u.ModelIndex, meta.NumModels)})
+		}
+		if _, err := p.stores.Datasets.Spec(u.DatasetID); err != nil {
+			issues = append(issues, Issue{id,
+				fmt.Sprintf("dataset %q unresolvable — set unrecoverable", u.DatasetID)})
+		}
+	}
+	return issues
 }
 
 // loadArchFromChain walks a derived set's chain to the full snapshot
 // that stores the architecture. Cyclic chains terminate with an error
 // instead of walking forever.
-func loadArchFromChain(st Stores, blobPrefix, collection string, meta setMeta) (arch *nn.Architecture, err error) {
+func (b *approachBase) loadArchFromChain(meta setMeta) (*nn.Architecture, error) {
 	seen := map[string]bool{}
 	for meta.Kind != "full" {
 		if meta.Base == "" {
@@ -178,16 +187,12 @@ func loadArchFromChain(st Stores, blobPrefix, collection string, meta setMeta) (
 			return nil, fmt.Errorf("base chain contains a cycle at %q", meta.SetID)
 		}
 		seen[meta.SetID] = true
-		meta, err = loadMeta(st, collection, meta.Base)
-		if err != nil {
+		var err error
+		if meta, err = loadMeta(b.stores, b.layout, meta.Base); err != nil {
 			return nil, err
 		}
 	}
-	a, err := loadArchBlob(st, blobPrefix+"/"+meta.SetID+"/arch.json")
-	if err != nil {
-		return nil, err
-	}
-	return a, nil
+	return loadArchBlob(b.stores, b.layout.blobKey(meta.SetID, archFile))
 }
 
 // baseChainCycles reports every set whose base chain never reaches a
@@ -195,7 +200,7 @@ func loadArchFromChain(st Stores, blobPrefix, collection string, meta setMeta) (
 // unrecoverable (recovery fails with ErrCorruptBlob instead of
 // recursing forever), so fsck must flag it. Clean walks are memoized,
 // keeping the scan linear over healthy stores.
-func baseChainCycles(st Stores, collection string, ids []string) []Issue {
+func baseChainCycles(st Stores, l *layout, ids []string) []Issue {
 	var issues []Issue
 	safe := map[string]bool{}
 	for _, id := range ids {
@@ -209,7 +214,7 @@ func baseChainCycles(st Stores, collection string, ids []string) []Issue {
 				break
 			}
 			seen[cur] = true
-			meta, err := loadMeta(st, collection, cur)
+			meta, err := loadMeta(st, l, cur)
 			if err != nil || meta.Kind == "full" || meta.Base == "" {
 				// Terminates here; unreadable or missing bases are
 				// reported by the per-set checks.
@@ -224,54 +229,4 @@ func baseChainCycles(st Stores, collection string, ids []string) []Issue {
 		}
 	}
 	return issues
-}
-
-// VerifyStore implements Verifier for Provenance. It additionally
-// resolves every dataset reference against the registry.
-func (p *Provenance) VerifyStore() ([]Issue, error) {
-	ids, err := p.SetIDs()
-	if err != nil {
-		return nil, err
-	}
-	known := map[string]bool{}
-	for _, id := range ids {
-		known[id] = true
-	}
-	issues := baseChainCycles(p.stores, provenanceCollection, ids)
-	for _, id := range ids {
-		meta, err := loadMeta(p.stores, provenanceCollection, id)
-		if err != nil {
-			issues = append(issues, Issue{id, "metadata unreadable"})
-			continue
-		}
-		if meta.Kind == "full" {
-			issues = append(issues, verifyFullArtifacts(p.stores, provenanceBlobPrefix, meta)...)
-			continue
-		}
-		if !known[meta.Base] {
-			issues = append(issues, Issue{id, fmt.Sprintf("base set %q missing — chain broken", meta.Base)})
-		}
-		var train TrainInfo
-		if err := p.stores.Docs.Get(provenanceTrainCollection, id, &train); err != nil {
-			issues = append(issues, Issue{id, "training info missing"})
-		} else if err := train.Config.Validate(); err != nil {
-			issues = append(issues, Issue{id, "training config invalid: " + err.Error()})
-		}
-		var updates updatesDoc
-		if err := p.stores.Docs.Get(provenanceUpdateCollection, id, &updates); err != nil {
-			issues = append(issues, Issue{id, "update records missing"})
-			continue
-		}
-		for _, u := range updates.Updates {
-			if u.ModelIndex < 0 || u.ModelIndex >= meta.NumModels {
-				issues = append(issues, Issue{id,
-					fmt.Sprintf("update references model %d outside set of %d", u.ModelIndex, meta.NumModels)})
-			}
-			if _, err := p.stores.Datasets.Spec(u.DatasetID); err != nil {
-				issues = append(issues, Issue{id,
-					fmt.Sprintf("dataset %q unresolvable — set unrecoverable", u.DatasetID)})
-			}
-		}
-	}
-	return issues, nil
 }

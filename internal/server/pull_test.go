@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 
 	"github.com/mmm-go/mmm/internal/core"
@@ -471,17 +472,26 @@ func TestChunkEndpointEdgeCases(t *testing.T) {
 // responses, leaving everything else untouched.
 type corruptingTransport struct {
 	base    http.RoundTripper
+	mu      sync.Mutex // chunk fetches run in parallel
 	remain  int
 	touched int
 }
 
 func (tr *corruptingTransport) RoundTrip(req *http.Request) (*http.Response, error) {
 	resp, err := http.DefaultTransport.RoundTrip(req)
-	if err != nil || !strings.Contains(req.URL.Path, "/api/cas/chunk/") || tr.remain <= 0 {
+	if err != nil || !strings.Contains(req.URL.Path, "/api/cas/chunk/") {
 		return resp, err
 	}
-	tr.remain--
-	tr.touched++
+	tr.mu.Lock()
+	corrupt := tr.remain > 0
+	if corrupt {
+		tr.remain--
+		tr.touched++
+	}
+	tr.mu.Unlock()
+	if !corrupt {
+		return resp, nil
+	}
 	body, err := io.ReadAll(resp.Body)
 	resp.Body.Close()
 	if err != nil {

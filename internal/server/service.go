@@ -24,8 +24,8 @@ type Service struct {
 	dedup      bool   // Config.Dedup: chunk-level CAS on saves
 }
 
-// NewService builds the store-service layer over stores: the four
-// standard approaches under their lower-case names, instrumented into
+// NewService builds the store-service layer over stores: every
+// registered approach under its core.ApproachNames name, instrumented into
 // reg, configured from cfg (codec, dedup, chunk cache) plus any extra
 // core options.
 func NewService(stores core.Stores, reg *obs.Registry, cfg Config, opts ...core.Option) *Service {
@@ -42,17 +42,17 @@ func NewService(stores core.Stores, reg *obs.Registry, cfg Config, opts ...core.
 	if cfg.Dedup {
 		opts = append(opts, core.WithDedup())
 	}
+	approaches := map[string]core.Approach{}
+	for _, name := range core.ApproachNames() {
+		// Open only fails for names outside ApproachNames.
+		approaches[name], _ = core.Open(name, stores, opts...)
+	}
 	return &Service{
-		stores: stores,
-		approaches: map[string]core.Approach{
-			"baseline":   core.NewBaseline(stores, opts...),
-			"update":     core.NewUpdate(stores, opts...),
-			"provenance": core.NewProvenance(stores, opts...),
-			"mmlib":      core.NewMMlibBase(stores, opts...),
-		},
-		journal: newOpJournal(stores.Docs),
-		codecID: cfg.Codec,
-		dedup:   cfg.Dedup,
+		stores:     stores,
+		approaches: approaches,
+		journal:    newOpJournal(stores.Docs),
+		codecID:    cfg.Codec,
+		dedup:      cfg.Dedup,
 	}
 }
 

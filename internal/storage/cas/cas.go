@@ -21,11 +21,11 @@ import (
 	"github.com/mmm-go/mmm/internal/storage/blobstore"
 )
 
-// ErrCorrupt is wrapped by read errors when a chunk's stored bytes can
-// no longer be turned into the payload its content address promises —
-// a damaged raw chunk, a framed chunk naming an unregistered codec, or
-// an encoded body that fails to decode. Callers map it onto their own
-// corruption sentinel.
+// ErrCorrupt is wrapped by read errors when stored bytes can no longer
+// be turned into the payload they promise — a damaged raw chunk, a
+// framed chunk naming an unregistered codec, an encoded body that fails
+// to decode, or a recipe that is garbled or whose chunk sizes do not
+// add up. Callers map it onto their own corruption sentinel.
 var ErrCorrupt = errors.New("cas: corrupt chunk")
 
 // Key-space layout inside the blob store. Everything is under Prefix,
@@ -478,21 +478,22 @@ func (s *Store) readRecipe(key string) (Recipe, []byte, error) {
 	return r, raw, nil
 }
 
-// DecodeRecipe parses and validates recipe bytes.
+// DecodeRecipe parses and validates recipe bytes. Bytes that are not a
+// consistent recipe fail with an error wrapping ErrCorrupt.
 func DecodeRecipe(raw []byte) (Recipe, error) {
 	var r Recipe
 	if err := json.Unmarshal(raw, &r); err != nil {
-		return Recipe{}, fmt.Errorf("cas: garbled recipe: %w", err)
+		return Recipe{}, fmt.Errorf("cas: garbled recipe: %v: %w", err, ErrCorrupt)
 	}
 	var total int64
 	for _, c := range r.Chunks {
 		if len(c.Hash) != sha256.Size*2 || c.Size <= 0 {
-			return Recipe{}, fmt.Errorf("cas: garbled recipe entry %q/%d", c.Hash, c.Size)
+			return Recipe{}, fmt.Errorf("cas: garbled recipe entry %q/%d: %w", c.Hash, c.Size, ErrCorrupt)
 		}
 		total += c.Size
 	}
 	if total != r.Size || r.Size < 0 {
-		return Recipe{}, fmt.Errorf("cas: recipe chunk sizes sum to %d, want %d", total, r.Size)
+		return Recipe{}, fmt.Errorf("cas: recipe chunk sizes sum to %d, want %d: %w", total, r.Size, ErrCorrupt)
 	}
 	return r, nil
 }
@@ -810,6 +811,12 @@ func (s *Store) GC(reg *obs.Registry) (GCReport, error) {
 		case strings.HasPrefix(k, recipePrefix):
 			logical, _ := LogicalKey(k)
 			r, _, err := s.readRecipe(logical)
+			if backend.IsNotFound(err) {
+				// Released since the listing: Release deletes the recipe
+				// before it takes refMu, so its chunks' refcounts are
+				// still undecremented and keep them alive below.
+				continue
+			}
 			if err != nil {
 				return GCReport{}, fmt.Errorf("cas: gc: %w", err)
 			}
