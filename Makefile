@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test vet check-runs race race-stress fsck-smoke metrics-smoke chaos-smoke dedup-smoke codec-smoke pull-smoke scrub-smoke cluster-smoke fuzz check bench
+.PHONY: build test vet loc check-runs check-seam race race-stress fsck-smoke metrics-smoke chaos-smoke dedup-smoke codec-smoke pull-smoke scrub-smoke cluster-smoke fuzz check bench
 
 build:
 	$(GO) build ./...
@@ -32,6 +32,36 @@ check-runs:
 		done; \
 	done; \
 	echo "check-runs OK: every -run pattern still matches a test"
+
+# Guard the logical-blob seam: cas.Store alone knows "raw or recipe"
+# and a blob store holds its one cas.Store, so cas.For is called where
+# a component is built (and by one-shot store-level commands), never
+# per operation; and core neither builds recipe keys nor touches the
+# cache namespace outside fsck's physical-level CAS pass.
+SEAM_FOR_FILES = internal/core/base.go internal/core/dedup.go internal/core/fsck_cas.go \
+	internal/scrub/scrub.go internal/server/service.go internal/server/pullclient.go \
+	internal/experiments/compression.go internal/experiments/serve.go
+check-seam:
+	@set -eu; \
+	sites=$$(grep -rn 'cas\.For(' --include='*.go' internal | grep -v '_test\.go:' || true); \
+	for f in $(SEAM_FOR_FILES); do sites=$$(printf '%s\n' "$$sites" | grep -v "^$$f:" || true); done; \
+	test -z "$$sites" || { echo "check-seam FAILED: cas.For outside a constructor:"; echo "$$sites"; exit 1; }; \
+	n=$$(grep -c 'cas\.For(' $(SEAM_FOR_FILES) | awk -F: '$$2 > 1' | wc -l); \
+	test "$$n" -eq 0 || { echo "check-seam FAILED: more than one cas.For in a constructor file"; exit 1; }; \
+	leaks=$$(grep -n 'InvalidateRaw\|RecipeKey(' internal/core/*.go | grep -v '_test\.go:' | grep -v '^internal/core/fsck_cas\.go:' || true); \
+	test -z "$$leaks" || { echo "check-seam FAILED: core reaches below the seam:"; echo "$$leaks"; exit 1; }; \
+	echo "check-seam OK: cas.For only in constructors, no recipe keys or cache calls in core"
+
+# Non-test, non-generated Go lines per package under internal/ and
+# cmd/ — the number simplification PRs report before and after.
+loc:
+	@total=0; \
+	for d in $$(find internal cmd -name '*.go' ! -name '*_test.go' -exec dirname {} \; | sort -u); do \
+		n=$$(find "$$d" -maxdepth 1 -name '*.go' ! -name '*_test.go' -exec grep -L '^// Code generated' {} + | xargs cat | wc -l); \
+		printf '%7d %s\n' "$$n" "$$d"; \
+		total=$$((total + n)); \
+	done; \
+	printf '%7d total\n' "$$total"
 
 # Serving-tier concurrency battery: the chunk cache's eviction/promotion
 # machinery, the CAS read paths (parallel recover + save + GC +
@@ -257,7 +287,7 @@ fuzz:
 # once plain, once under the race detector — then the durability,
 # observability, resilience, dedup, codec, pull, self-healing, and
 # cluster smoke tests and the short fuzz pass.
-check: build vet check-runs test race race-stress fsck-smoke metrics-smoke chaos-smoke dedup-smoke codec-smoke pull-smoke scrub-smoke cluster-smoke fuzz
+check: build vet check-runs check-seam test race race-stress fsck-smoke metrics-smoke chaos-smoke dedup-smoke codec-smoke pull-smoke scrub-smoke cluster-smoke fuzz
 
 bench:
 	$(GO) test -bench=. -benchmem

@@ -6,6 +6,7 @@ import (
 
 	"github.com/mmm-go/mmm/internal/obs"
 	"github.com/mmm-go/mmm/internal/storage/backend"
+	"github.com/mmm-go/mmm/internal/storage/cas"
 )
 
 // approachBase is what the four approaches share: the construction
@@ -16,6 +17,7 @@ type approachBase struct {
 	layout  *layout
 	impl    approachImpl
 	stores  Stores
+	blobs   *cas.Store // stores.Blobs' logical-blob store: raw or chunked, decided there
 	ids     idAllocator
 	workers int
 	metrics *approachObs
@@ -59,8 +61,9 @@ type approachImpl interface {
 // setup wires the base to its layout, stores and embedding approach.
 func (b *approachBase) setup(l *layout, impl approachImpl, stores Stores, opts []Option) {
 	s := newSettings(opts)
-	s.attachCache(stores)
 	b.layout, b.impl, b.stores = l, impl, stores
+	b.blobs = cas.For(stores.Blobs)
+	b.blobs.EnableCache(s.cacheBytes, s.metrics)
 	b.ids.prefix = l.idPrefix
 	b.workers, b.dedup, b.codec = s.workers, s.dedup, s.codec
 	b.metrics = newApproachObs(s.metrics, l.label)
@@ -130,7 +133,7 @@ func (b *approachBase) save(ctx context.Context, req SaveRequest, sp *obs.Span) 
 	if err != nil {
 		return SaveResult{}, err
 	}
-	op := &saveOp{st: b.stores, dedup: b.dedup, codec: cdc, codecID: b.codec,
+	op := &saveOp{st: b.stores, blobs: b.blobs, dedup: b.dedup, codec: cdc, codecID: b.codec,
 		workers: b.workers, reg: b.metrics.reg, span: sp}
 	if err := b.impl.write(ctx, op, setID, req); err != nil {
 		op.rollback()

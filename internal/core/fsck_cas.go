@@ -70,6 +70,7 @@ func casFsck(st Stores, refs *refSet, report *FsckReport) (*casState, error) {
 	if err != nil {
 		return nil, err
 	}
+	cs := cas.For(st.Blobs)
 	state := &casState{
 		orphan:     map[string]bool{},
 		repairs:    map[string]func() error{},
@@ -162,7 +163,7 @@ func casFsck(st Stores, refs *refSet, report *FsckReport) (*casState, error) {
 				// A stored size below the logical one is what compressed
 				// chunk bodies legitimately look like; only a body that no
 				// longer decodes to its content address is damage.
-				if err := cas.For(st.Blobs).VerifyChunk(c.Hash, c.Size); err != nil {
+				if err := cs.VerifyChunk(c.Hash, c.Size); err != nil {
 					missingReported[c.Hash] = true
 					report.Issues = append(report.Issues, FsckIssue{
 						Kind: FsckCASChunk, Key: cas.ChunkKey(c.Hash),

@@ -3,10 +3,16 @@ package core
 import (
 	"bytes"
 	"errors"
+	"io"
 	"strings"
 	"testing"
 
+	"github.com/mmm-go/mmm/internal/dataset"
+	"github.com/mmm-go/mmm/internal/obs"
+	"github.com/mmm-go/mmm/internal/storage/backend"
 	"github.com/mmm-go/mmm/internal/storage/cas"
+	"github.com/mmm-go/mmm/internal/storage/docstore"
+	"github.com/mmm-go/mmm/internal/storage/latency"
 )
 
 // mustOpen opens a registered approach or fails the test.
@@ -53,7 +59,8 @@ func TestOpenRegistry(t *testing.T) {
 // TestLayoutOperations drives every operation derived from the layout
 // table over every registered approach, plain and deduplicated.
 func TestLayoutOperations(t *testing.T) {
-	for _, name := range ApproachNames() {
+	for i, name := range ApproachNames() {
+		l := layouts[i]
 		for _, dedup := range []bool{false, true} {
 			variant := name + "/plain"
 			var opts []Option
@@ -133,7 +140,94 @@ func TestLayoutOperations(t *testing.T) {
 				if _, err := a.(Pruner).Prune([]string{"nope"}); err == nil {
 					t.Error("pruning to an unknown set accepted")
 				}
+
+				blobSeamRoundTrip(t, l, dedup)
+				faultedSaveLeavesNothing(t, l, opts)
 			})
+		}
+	}
+}
+
+// blobSeamRoundTrip drives one logical blob of the layout's namespace
+// through the seam every approach reads and writes through: put, get,
+// ranged get, size, and a delete that frees exactly the physical bytes
+// the put cost.
+func blobSeamRoundTrip(t *testing.T, l *layout, dedup bool) {
+	t.Helper()
+	st, _, _, rawBlob, _ := faultyStores(dataset.NewRegistry())
+	cs := cas.For(st.Blobs)
+	op := &saveOp{st: st, blobs: cs, dedup: dedup, reg: obs.New()}
+	key := l.blobKey("seam-1", paramsFile)
+	data := make([]byte, 3000)
+	for i := range data {
+		data[i] = byte(i / 7)
+	}
+	res, err := op.put(key, data, cas.Hints{Stride: 1000}, dedup)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if (len(res.Recipe.Chunks) > 0) != dedup || op.result("").BytesWritten != res.PhysicalBytes {
+		t.Errorf("put = %+v, recorded %+v", res, op.result(""))
+	}
+	if got, err := cs.Get(key); err != nil || !bytes.Equal(got, data) {
+		t.Errorf("Get: %v", err)
+	}
+	if got, err := cs.GetRange(key, 500, 1000); err != nil || !bytes.Equal(got, data[500:1500]) {
+		t.Errorf("GetRange: %v", err)
+	}
+	if n, err := cs.Size(key); err != nil || n != 3000 {
+		t.Errorf("Size = %d, %v", n, err)
+	}
+	if keys, err := cs.Keys(l.setPrefix("seam-1")); err != nil || len(keys) != 1 || keys[0] != key {
+		t.Errorf("Keys = %v, %v", keys, err)
+	}
+	if freed, err := cs.Delete(key); err != nil || freed != res.PhysicalBytes {
+		t.Errorf("Delete freed %d, %v; the put cost %d", freed, err, res.PhysicalBytes)
+	}
+	if _, err := cs.Get(key); !backend.IsNotFound(err) {
+		t.Errorf("Get after Delete: %v, want NotFound", err)
+	}
+	if keys := residualKeys(t, rawBlob); len(keys) != 0 {
+		t.Errorf("Delete left %v", keys)
+	}
+}
+
+// peekOnPut runs fn before every write: a reader racing the save.
+type peekOnPut struct {
+	backend.Backend
+	fn func()
+}
+
+func (p peekOnPut) Put(key string, data []byte) error {
+	p.fn()
+	return p.Backend.Put(key, data)
+}
+
+// faultedSaveLeavesNothing fails a save at each of its document writes
+// in turn — the last is the commit record, by which time every blob is
+// written — while a reader loads the set's chunk index into the cache
+// just before each. The rollback must leave no raw blob, recipe, chunk,
+// refcount, manifest or document, and no cached index entry.
+func faultedSaveLeavesNothing(t *testing.T, l *layout, opts []Option) {
+	t.Helper()
+	for k := 0; ; k++ {
+		st, _, fDoc, rawBlob, rawDoc := faultyStores(dataset.NewRegistry())
+		cs := cas.For(st.Blobs)
+		indexKey := l.blobKey("seam-1", chunkIndexFile)
+		st.Docs = docstore.New(peekOnPut{fDoc, func() { _, _ = cs.LoadIndex(indexKey) }}, latency.CostModel{}, nil)
+		a := mustOpen(t, l.name, st, append([]Option{WithChunkCache(1 << 20), WithConcurrency(4)}, opts...)...)
+		fDoc.FailPutsAfter(k)
+		if _, err := a.Save(SaveRequest{Set: mustNewSet(t, 4), SetID: "seam-1"}); err == nil {
+			if k == 0 {
+				t.Fatal("save succeeded with every document write failing")
+			}
+			return
+		}
+		if keys := residualKeys(t, rawBlob, rawDoc); len(keys) != 0 {
+			t.Fatalf("k=%d: rolled-back save left %v", k, keys)
+		}
+		if ix, err := cs.LoadIndex(indexKey); ix != nil || err != nil {
+			t.Fatalf("k=%d: rolled-back save left a cached chunk index (%v)", k, err)
 		}
 	}
 }
@@ -223,7 +317,7 @@ func TestGarbledRecipeIsCorruptBlob(t *testing.T) {
 			if _, err := b.Recover(id); !errors.Is(err, ErrCorruptBlob) {
 				t.Errorf("Recover: %v, want ErrCorruptBlob", err)
 			}
-			if _, err := blobSize(st, key); !errors.Is(err, ErrCorruptBlob) {
+			if _, err := b.blobSize(key); !errors.Is(err, ErrCorruptBlob) {
 				t.Errorf("blobSize: %v, want ErrCorruptBlob", err)
 			}
 			if tc.file == archFile { // params reads go through the chunk index instead
@@ -236,5 +330,62 @@ func TestGarbledRecipeIsCorruptBlob(t *testing.T) {
 				t.Errorf("VerifyStore = %v, %v; want one corrupt-blob issue", issues, err)
 			}
 		})
+	}
+}
+
+// TestMissingChunkIsCorruptBlob deletes one chunk from under a
+// committed dedup set. The set's blobs still exist — their recipes say
+// so — which means every read path must fail with ErrCorruptBlob, not
+// with a NotFound for a logical blob that is there, and not untyped.
+func TestMissingChunkIsCorruptBlob(t *testing.T) {
+	for i, name := range ApproachNames() {
+		l := layouts[i]
+		for _, mode := range []string{"full", "selective"} {
+			t.Run(name+"/"+mode, func(t *testing.T) {
+				st := NewMemStores()
+				a := mustOpen(t, name, st, WithDedup())
+				id := mustSave(t, a, SaveRequest{Set: mustNewSet(t, 3)}).SetID
+				cs := cas.For(st.Blobs)
+				keys, err := cs.Keys(l.setPrefix(id))
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, key := range keys {
+					if !strings.HasSuffix(key, paramsFile) {
+						continue
+					}
+					r, err := cs.Recipe(key)
+					if err != nil {
+						t.Fatal(err)
+					}
+					// The first chunk holds model 0 in every layout.
+					if err := st.Blobs.Delete(cas.ChunkKey(r.Chunks[0].Hash)); err != nil {
+						t.Fatal(err)
+					}
+					break
+				}
+				check := func(what string, err error) {
+					t.Helper()
+					if !errors.Is(err, ErrCorruptBlob) || backend.IsNotFound(err) || errors.Is(err, ErrSetNotFound) {
+						t.Errorf("%s: %v, want ErrCorruptBlob and no kind of not-found", what, err)
+					}
+				}
+				if mode == "full" {
+					_, err := a.Recover(id)
+					check("Recover", err)
+					check("Export", a.(Exporter).Export(id, io.Discard))
+					return
+				}
+				_, err = a.(PartialRecoverer).RecoverModels(id, []int{0})
+				check("RecoverModels", err)
+				// Without the chunk index the same read goes through the
+				// recipe's ranged path.
+				if _, err := cs.Delete(l.blobKey(id, chunkIndexFile)); err != nil {
+					t.Fatal(err)
+				}
+				_, err = a.(PartialRecoverer).RecoverModels(id, []int{0})
+				check("RecoverModels without index", err)
+			})
+		}
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"github.com/mmm-go/mmm/internal/core/pool"
 	"github.com/mmm-go/mmm/internal/env"
 	"github.com/mmm-go/mmm/internal/nn"
+	"github.com/mmm-go/mmm/internal/storage/cas"
 )
 
 // MMlibBase reimplements the paper's reference point: MMlib's baseline
@@ -79,7 +80,7 @@ func (m *MMlibBase) write(ctx context.Context, op *saveOp, setID string, req Sav
 		if err := saveArchBlob(op, mmlibBlobKey(setID, i, archFile), req.Set.Arch); err != nil {
 			return err
 		}
-		if err := op.putBlob(mmlibBlobKey(setID, i, paramsFile), frameParams(model)); err != nil {
+		if _, err := op.put(mmlibBlobKey(setID, i, paramsFile), frameParams(model), cas.Hints{}, op.dedup); err != nil {
 			return fmt.Errorf("core: writing params of model %d: %w", i, err)
 		}
 		// Three documents per model: metadata, environment, code.

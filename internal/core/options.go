@@ -6,7 +6,6 @@ import (
 	"github.com/mmm-go/mmm/internal/codec"
 	"github.com/mmm-go/mmm/internal/core/pool"
 	"github.com/mmm-go/mmm/internal/obs"
-	"github.com/mmm-go/mmm/internal/storage/cas"
 )
 
 // settings holds the resolved construction options shared by all
@@ -105,14 +104,6 @@ func WithCodec(id string) Option {
 // <= 0 leave the store uncached.
 func WithChunkCache(bytes int64) Option {
 	return func(s *settings) { s.cacheBytes = bytes }
-}
-
-// attachCache wires the resolved cache budget onto the stores' CAS
-// layer. Every approach constructor calls it.
-func (s settings) attachCache(st Stores) {
-	if s.cacheBytes > 0 {
-		cas.For(st.Blobs).EnableCache(s.cacheBytes, s.metrics)
-	}
 }
 
 // resolveCodec maps a configured codec ID to the codec a saveOp should

@@ -78,8 +78,7 @@ func validateIndices(indices []int, numModels int) ([]int, error) {
 // whose range fails to read or decode are skipped instead of failing
 // the call.
 func (b *approachBase) readFullModels(ctx context.Context, meta setMeta, indices []int, rs *recoverSettings) (*PartialRecovery, error) {
-	st, workers := b.stores, b.workers
-	arch, err := loadArchBlob(st, b.layout.blobKey(meta.SetID, archFile))
+	arch, err := b.loadArchBlob(b.layout.blobKey(meta.SetID, archFile))
 	if err != nil {
 		return nil, err
 	}
@@ -88,20 +87,21 @@ func (b *approachBase) readFullModels(ctx context.Context, meta setMeta, indices
 	// Dedup saves persisted a chunk index: load it once and resolve
 	// each model's chunks from it directly. Sets without one (plain
 	// saves, pre-index stores) use ranged blob reads — same bytes.
-	ix, err := loadChunkIndex(st, b.layout, meta.SetID)
+	ix, err := b.loadChunkIndex(meta.SetID)
 	if err != nil {
 		return nil, err
 	}
 	models := make([]*nn.Model, len(indices))
-	err = pool.Run(ctx, workers, len(indices), func(k int) error {
+	err = pool.Run(ctx, b.workers, len(indices), func(k int) error {
 		idx := indices[k]
 		one := func() error {
 			var raw []byte
 			var err error
 			if ix != nil {
-				raw, err = readViaIndex(st, ix, int64(idx)*perModel, perModel)
+				raw, err = b.blobs.GetIndexed(ix, int64(idx)*perModel, perModel)
+				err = mapCorrupt(err)
 			} else {
-				raw, err = getBlobRange(st, key, int64(idx)*perModel, perModel)
+				raw, err = b.getBlobRange(key, int64(idx)*perModel, perModel)
 			}
 			if err != nil {
 				return fmt.Errorf("core: reading model %d: %w", idx, err)
@@ -180,11 +180,11 @@ func (m *MMlibBase) recoverOne(setID string, i int) (*nn.Model, *nn.Architecture
 	if err := m.stores.Docs.Get(mmlibCodeCollection, mm.CodeDocID, &cd); err != nil {
 		return nil, nil, fmt.Errorf("core: loading code of model %d: %w", i, err)
 	}
-	arch, err := loadArchBlob(m.stores, mmlibBlobKey(setID, i, archFile))
+	arch, err := m.loadArchBlob(mmlibBlobKey(setID, i, archFile))
 	if err != nil {
 		return nil, nil, fmt.Errorf("core: loading arch of model %d: %w", i, err)
 	}
-	raw, err := getBlob(m.stores, mmlibBlobKey(setID, i, paramsFile))
+	raw, err := m.getBlob(mmlibBlobKey(setID, i, paramsFile))
 	if err != nil {
 		return nil, nil, fmt.Errorf("core: loading params of model %d: %w", i, err)
 	}
@@ -263,7 +263,7 @@ func (u *Update) applyModels(ctx context.Context, meta setMeta, base *PartialRec
 	// Raw blobs support ranged reads.
 	var whole []byte
 	if id := diffCodecID(diff); id != "" {
-		raw, err := getBlob(u.stores, blobKey)
+		raw, err := u.getBlob(blobKey)
 		if err != nil {
 			return fmt.Errorf("core: loading diff blob: %w", err)
 		}
@@ -284,7 +284,7 @@ func (u *Update) applyModels(ctx context.Context, meta setMeta, base *PartialRec
 				segment = whole[off : off+size]
 			} else {
 				var err error
-				segment, err = getBlobRange(u.stores, blobKey, off, size)
+				segment, err = u.getBlobRange(blobKey, off, size)
 				if err != nil {
 					return fmt.Errorf("core: reading diff of model %d: %w", e.M, err)
 				}

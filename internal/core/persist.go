@@ -101,7 +101,8 @@ func chooseSetID(req SaveRequest, ids *idAllocator, existing []string) (string, 
 // no orphaned blobs or documents behind.
 type saveOp struct {
 	st      Stores
-	dedup   bool        // route blob writes through the CAS layer
+	blobs   *cas.Store  // st.Blobs' logical-blob store
+	dedup   bool        // the approach saves with WithDedup
 	codec   codec.Codec // per-chunk/diff compression; nil stores raw
 	codecID string      // configured codec ID as persisted in metadata
 	workers int         // encode fan-out under dedup
@@ -110,69 +111,35 @@ type saveOp struct {
 	mu      sync.Mutex
 	bytes   int64
 	ops     int64
-	blobs   []savedBlob // written blobs, in write order
+	keys    []string    // written blobs, in write order
 	docs    [][2]string // written (collection, id) pairs, in write order
 }
 
-// savedBlob records one written blob and how it was written, so
-// rollback can undo it the matching way (raw delete vs. CAS release).
-type savedBlob struct {
-	key   string
-	dedup bool
-}
-
-// putBlob writes a blob and records its cost.
-func (op *saveOp) putBlob(key string, data []byte) error {
-	return op.putBlobHinted(key, data, cas.Hints{})
-}
-
-// putBlobHinted is putBlob with chunk-boundary hints for the CAS
-// layer. Under dedup the recorded cost is the write's *physical*
-// footprint — newly stored chunk bytes plus the recipe — so
+// put writes one logical blob and records its cost and its rollback
+// entry: chunked through the CAS layer — with chunk-boundary hints —
+// or as one raw blob. Approaches pass op.dedup; the per-set chunk
+// index is always raw. The recorded cost of a chunked write is its
+// *physical* footprint — newly stored chunk bytes plus the recipe — so
 // SaveResult.BytesWritten reflects what the store actually grew by;
 // refcount updates are bookkeeping and not counted as write ops.
-func (op *saveOp) putBlobHinted(key string, data []byte, hints cas.Hints) error {
-	if !op.dedup {
-		return op.putPlain(key, data)
+func (op *saveOp) put(key string, data []byte, hints cas.Hints, chunked bool) (cas.PutResult, error) {
+	var res cas.PutResult
+	var err error
+	if chunked {
+		res, err = op.blobs.PutEncoded(key, data, 0, hints,
+			cas.Encoding{Codec: op.codec, Workers: op.workers}, op.reg)
+	} else {
+		res, err = op.blobs.PutRaw(key, data)
 	}
-	res, err := cas.For(op.st.Blobs).PutEncoded(key, data, 0, hints,
-		cas.Encoding{Codec: op.codec, Workers: op.workers}, op.reg)
 	if err != nil {
-		return err
+		return res, err
 	}
-	op.wrote(res.PhysicalBytes, res.WriteOps, savedBlob{key: key, dedup: true})
-	return nil
-}
-
-// putBlobRaw writes a blob directly to the blob store even under
-// dedup. Tiny derived artifacts (the per-set chunk index) are not
-// worth chunking — and must stay raw so reading them never recurses
-// through the CAS layer they describe. Any cached parse of a previous
-// blob under the key is invalidated.
-func (op *saveOp) putBlobRaw(key string, data []byte) error {
-	if err := op.putPlain(key, data); err != nil {
-		return err
-	}
-	cas.For(op.st.Blobs).InvalidateRaw(key)
-	return nil
-}
-
-// putPlain writes one raw blob and records its cost.
-func (op *saveOp) putPlain(key string, data []byte) error {
-	if err := op.st.Blobs.Put(key, data); err != nil {
-		return err
-	}
-	op.wrote(int64(len(data)), 1, savedBlob{key: key})
-	return nil
-}
-
-// wrote records one blob write's cost and its rollback entry.
-func (op *saveOp) wrote(bytes, ops int64, blob savedBlob) {
 	op.mu.Lock()
-	op.bytes += bytes
-	op.ops += ops
-	op.blobs = append(op.blobs, blob)
+	op.bytes += res.PhysicalBytes
+	op.ops += res.WriteOps
+	op.keys = append(op.keys, key)
 	op.mu.Unlock()
+	return res, nil
 }
 
 // insertDoc writes a document and records its cost (the encoded JSON
@@ -200,15 +167,10 @@ func (op *saveOp) rollback() {
 	for i := len(op.docs) - 1; i >= 0; i-- {
 		_ = op.st.Docs.Delete(op.docs[i][0], op.docs[i][1])
 	}
-	for i := len(op.blobs) - 1; i >= 0; i-- {
-		if op.blobs[i].dedup {
-			// Releasing drops exactly the references this save took; a
-			// failed cas.Put has already undone its own partial work.
-			_, _ = cas.For(op.st.Blobs).Release(op.blobs[i].key, op.reg)
-		} else {
-			_ = op.st.Blobs.Delete(op.blobs[i].key)
-			cas.For(op.st.Blobs).InvalidateRaw(op.blobs[i].key)
-		}
+	for i := len(op.keys) - 1; i >= 0; i-- {
+		// Deleting a chunked blob drops exactly the references this save
+		// took; a failed cas.Put has already undone its own partial work.
+		_, _ = op.blobs.Delete(op.keys[i])
 	}
 }
 
@@ -277,15 +239,15 @@ func saveArchBlob(op *saveOp, key string, arch *nn.Architecture) error {
 	if err != nil {
 		return fmt.Errorf("core: marshaling architecture: %w", err)
 	}
-	if err := op.putBlob(key, blob); err != nil {
+	if _, err := op.put(key, blob, cas.Hints{}, op.dedup); err != nil {
 		return fmt.Errorf("core: writing architecture: %w", err)
 	}
 	return nil
 }
 
 // loadArchBlob reads an architecture definition back.
-func loadArchBlob(st Stores, key string) (*nn.Architecture, error) {
-	blob, err := getBlob(st, key)
+func (b *approachBase) loadArchBlob(key string) (*nn.Architecture, error) {
+	blob, err := b.getBlob(key)
 	if err != nil {
 		return nil, fmt.Errorf("core: reading architecture: %w", err)
 	}
@@ -332,15 +294,22 @@ func (b *approachBase) fullSave(ctx context.Context, op *saveOp, setID string, r
 	// Chunking at model-size stride keeps every unchanged model's
 	// chunks byte-identical across saves — the layout-stability the
 	// dedup layer's write-skipping depends on.
-	if err := op.putBlobHinted(l.blobKey(setID, paramsFile), params,
-		cas.Hints{Stride: req.Set.Arch.ParamBytes()}); err != nil {
+	res, err := op.put(l.blobKey(setID, paramsFile), params,
+		cas.Hints{Stride: req.Set.Arch.ParamBytes()}, op.dedup)
+	if err != nil {
 		return fmt.Errorf("core: writing parameters: %w", err)
 	}
-	// Dedup saves also persist the params blob's chunk index, inside
-	// the commit boundary: selective recovery resolves chunks from it
-	// without walking the recipe.
-	if err := writeChunkIndex(op, l, setID, int64(req.Set.Arch.ParamBytes())); err != nil {
-		return err
+	// Dedup saves also persist the params blob's chunk index, built
+	// from the recipe just written, inside the commit boundary — after
+	// the params blob, before the metadata document: selective recovery
+	// resolves chunks from it without walking the recipe. It stays a raw
+	// blob so that reading it never goes through the chunks it
+	// describes. Plain saves have no recipe to index.
+	if op.dedup {
+		ix := cas.BuildIndex(int64(req.Set.Arch.ParamBytes()), res.Recipe)
+		if _, err := op.put(l.blobKey(setID, chunkIndexFile), ix.Encode(), cas.Hints{}, false); err != nil {
+			return fmt.Errorf("core: writing chunk index: %w", err)
+		}
 	}
 	if err := ctx.Err(); err != nil {
 		return err
@@ -358,11 +327,11 @@ func (b *approachBase) fullSave(ctx context.Context, op *saveOp, setID string, r
 
 // readFull is approachImpl's full-snapshot default: reverse fullSave.
 func (b *approachBase) readFull(ctx context.Context, meta setMeta) (*ModelSet, error) {
-	arch, err := loadArchBlob(b.stores, b.layout.blobKey(meta.SetID, archFile))
+	arch, err := b.loadArchBlob(b.layout.blobKey(meta.SetID, archFile))
 	if err != nil {
 		return nil, err
 	}
-	data, err := getBlob(b.stores, b.layout.blobKey(meta.SetID, paramsFile))
+	data, err := b.getBlob(b.layout.blobKey(meta.SetID, paramsFile))
 	if err != nil {
 		return nil, fmt.Errorf("core: reading parameters: %w", err)
 	}

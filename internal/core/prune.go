@@ -106,17 +106,17 @@ func pruneSets(all []string, keep []string, baseOf chainCloser,
 // freed. Deleting a deduplicated blob releases its chunk references;
 // chunks still referenced by kept sets survive and do not count, so
 // PruneReport.FreedBytes stays honest under sharing.
-func deleteBlobsWithPrefix(st Stores, prefix string) (int64, error) {
-	keys, err := blobKeysWithPrefix(st, prefix)
+func (b *approachBase) deleteBlobsWithPrefix(prefix string) (int64, error) {
+	keys, err := b.blobs.Keys(prefix)
 	if err != nil {
 		return 0, err
 	}
 	var freed int64
 	for _, k := range keys {
-		n, err := deleteBlob(st, k)
+		n, err := b.blobs.Delete(k)
 		freed += n
 		if err != nil {
-			return freed, err
+			return freed, mapCorrupt(err)
 		}
 	}
 	return freed, nil
@@ -154,7 +154,7 @@ func (b *approachBase) Prune(keep []string) (*PruneReport, error) {
 				return freed, err
 			}
 		}
-		blobFreed, err := deleteBlobsWithPrefix(b.stores, l.setPrefix(id))
+		blobFreed, err := b.deleteBlobsWithPrefix(l.setPrefix(id))
 		return freed + blobFreed, err
 	})
 }

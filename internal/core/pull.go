@@ -47,7 +47,7 @@ func (b *approachBase) PullSource(setID string) (PullSource, error) {
 		return PullSource{}, fmt.Errorf("core: set %q is %s, not a full snapshot: %w",
 			setID, meta.Kind, ErrPullUnavailable)
 	}
-	arch, err := loadArchBlob(b.stores, b.layout.blobKey(setID, archFile))
+	arch, err := b.loadArchBlob(b.layout.blobKey(setID, archFile))
 	if err != nil {
 		return PullSource{}, err
 	}

@@ -69,12 +69,12 @@ func (b *approachBase) Export(setID string, w io.Writer) error {
 				return err
 			}
 		}
-		keys, err := blobKeysWithPrefix(st, l.setPrefix(meta.SetID))
+		keys, err := b.blobs.Keys(l.setPrefix(meta.SetID))
 		if err != nil {
 			return err
 		}
 		for _, k := range keys {
-			data, err := getBlob(st, k)
+			data, err := b.getBlob(k)
 			if err != nil {
 				return fmt.Errorf("core: exporting blob %s: %w", k, err)
 			}

@@ -256,7 +256,7 @@ func (u *Update) saveDerived(ctx context.Context, op *saveOp, setID string, req 
 	if encodedWith == "" {
 		hints.Boundaries = offs
 	}
-	if err := op.putBlobHinted(u.layout.blobKey(setID, diffFile), blob, hints); err != nil {
+	if _, err := op.put(u.layout.blobKey(setID, diffFile), blob, hints, op.dedup); err != nil {
 		return fmt.Errorf("core: writing diff blob: %w", err)
 	}
 	doc := diffDoc{
@@ -319,7 +319,7 @@ func (u *Update) apply(ctx context.Context, meta setMeta, set *ModelSet) error {
 	}
 	want := offs[len(diff.Entries)]
 
-	blob, err := getBlob(u.stores, u.layout.blobKey(setID, diffFile))
+	blob, err := u.getBlob(u.layout.blobKey(setID, diffFile))
 	if err != nil {
 		return fmt.Errorf("core: loading diff blob: %w", err)
 	}

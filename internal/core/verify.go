@@ -63,7 +63,7 @@ func (b *approachBase) VerifyStore() ([]Issue, error) {
 			}
 		}
 		for _, bl := range arts.blobs {
-			if _, err := blobSize(st, bl.key); errors.Is(err, ErrCorruptBlob) {
+			if _, err := b.blobSize(bl.key); errors.Is(err, ErrCorruptBlob) {
 				issues = append(issues, Issue{id, bl.what + " corrupt: " + err.Error()})
 			} else if err != nil && !bl.optional {
 				issues = append(issues, Issue{id, bl.what + " missing"})
@@ -77,7 +77,7 @@ func (b *approachBase) VerifyStore() ([]Issue, error) {
 // verifySet is the full-snapshot default: the parameter blob must hold
 // exactly the set's parameters.
 func (b *approachBase) verifySet(meta setMeta) []Issue {
-	size, err := blobSize(b.stores, b.layout.blobKey(meta.SetID, paramsFile))
+	size, err := b.blobSize(b.layout.blobKey(meta.SetID, paramsFile))
 	if want := int64(4 * meta.ParamCount * meta.NumModels); err == nil && size != want {
 		return []Issue{{meta.SetID, fmt.Sprintf("parameter blob has %d bytes, want %d", size, want)}}
 	}
@@ -114,7 +114,7 @@ func (u *Update) verifySet(meta setMeta) []Issue {
 		}
 		return issues
 	}
-	size, err := blobSize(u.stores, u.layout.blobKey(id, diffFile))
+	size, err := u.blobSize(u.layout.blobKey(id, diffFile))
 	if err != nil || diffCodecID(diff) != "" {
 		return issues
 	}
@@ -192,7 +192,7 @@ func (b *approachBase) loadArchFromChain(meta setMeta) (*nn.Architecture, error)
 			return nil, err
 		}
 	}
-	return loadArchBlob(b.stores, b.layout.blobKey(meta.SetID, archFile))
+	return b.loadArchBlob(b.layout.blobKey(meta.SetID, archFile))
 }
 
 // baseChainCycles reports every set whose base chain never reaches a

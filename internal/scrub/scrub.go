@@ -630,7 +630,7 @@ func (s *Scrubber) scanBlob(ctx context.Context, key string, rep *Report) error 
 // quarantineBlob moves a corrupt raw blob aside and records the
 // finding.
 func (s *Scrubber) quarantineBlob(key string, f Finding, rep *Report) {
-	if _, err := s.blobs.Quarantine(key); err != nil {
+	if err := s.cas.QuarantineBlob(key); err != nil {
 		if !backend.IsNotFound(err) {
 			f.RepairError = fmt.Sprintf("quarantine failed: %v", err)
 		}
@@ -638,7 +638,6 @@ func (s *Scrubber) quarantineBlob(key string, f Finding, rep *Report) {
 		f.Quarantined = true
 		rep.Quarantined++
 		s.reg.Counter(MetricQuarantined).Inc()
-		s.cas.InvalidateRaw(key)
 	}
 	s.record(rep, f)
 }

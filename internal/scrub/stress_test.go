@@ -51,7 +51,7 @@ func TestStressScrubConcurrentLifecycle(t *testing.T) {
 				errc <- fmt.Errorf("put %s: %w", key, err)
 				return
 			}
-			if _, err := ts.cas.Release(key, nil); err != nil {
+			if _, err := ts.cas.Delete(key); err != nil {
 				errc <- fmt.Errorf("release %s: %w", key, err)
 				return
 			}

@@ -149,15 +149,15 @@ func (s *Server) handlePullRecipe(w http.ResponseWriter, r *http.Request) {
 		writeError(w, pullStatus(err), err)
 		return
 	}
-	cs := cas.For(s.stores.Blobs)
-	if !cs.Has(src.ParamsKey) {
+	recipe, err := s.cas.Recipe(src.ParamsKey)
+	switch {
+	case err == nil:
+	case backend.IsNotFound(err):
 		writeError(w, http.StatusNotFound,
 			fmt.Errorf("set %q is not chunk-addressed (saved without dedup): %w",
 				r.PathValue("id"), core.ErrPullUnavailable))
 		return
-	}
-	recipe, err := cs.Recipe(src.ParamsKey)
-	if err != nil {
+	default:
 		writeError(w, http.StatusInternalServerError, err)
 		return
 	}
@@ -197,7 +197,7 @@ func (s *Server) handleChunk(w http.ResponseWriter, r *http.Request) {
 			fmt.Errorf("chunk request needs a positive logical size (?s=): %q", r.URL.Query().Get("s")))
 		return
 	}
-	data, err := cas.For(s.stores.Blobs).GetChunk(hash, size)
+	data, err := s.cas.GetChunk(hash, size)
 	switch {
 	case err == nil:
 	case backend.IsNotFound(err):

@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -189,6 +190,11 @@ func (c *Client) pullParams(ctx context.Context, m *PullManifest, off, n int64) 
 	err := pool.Run(ctx, c.pullWorkers(), len(missing), func(i int) error {
 		h := missing[i]
 		data, err := c.fetchChunk(ctx, h, sizes[h])
+		if errors.Is(err, core.ErrSetNotFound) {
+			// The server's own manifest names this chunk: the set is
+			// there and damaged, not absent.
+			return fmt.Errorf("server: manifest lists a chunk the server does not have: %v: %w", err, core.ErrCorruptBlob)
+		}
 		if err != nil {
 			return err
 		}

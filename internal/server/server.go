@@ -497,15 +497,15 @@ func saveStatus(err error) int {
 }
 
 // recoverStatus maps a recover error onto an HTTP status: unknown sets
-// are 404, detected bit rot (checksum mismatch) is a 500 — the data
-// the server promised to keep is gone, which is a server fault, not a
-// request fault — and everything else (foreign sets, malformed docs)
-// is a 422.
+// are 404, detected damage (a checksum mismatch, an artifact that is
+// corrupt or gone from under its set) is a 500 — the data the server
+// promised to keep is gone, which is a server fault, not a request
+// fault — and everything else (foreign sets, malformed docs) is a 422.
 func recoverStatus(err error) int {
 	switch {
 	case errors.Is(err, core.ErrSetNotFound):
 		return http.StatusNotFound
-	case errors.Is(err, core.ErrChecksumMismatch):
+	case errors.Is(err, core.ErrChecksumMismatch), errors.Is(err, core.ErrCorruptBlob):
 		return http.StatusInternalServerError
 	default:
 		return http.StatusUnprocessableEntity

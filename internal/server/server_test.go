@@ -2,6 +2,7 @@ package server
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -290,6 +291,50 @@ func TestChecksumMismatchOverHTTP(t *testing.T) {
 	// Bit rot is the server's fault, not the request's.
 	if !strings.Contains(err.Error(), "HTTP 500") {
 		t.Errorf("checksum mismatch reported as %v, want HTTP 500", err)
+	}
+}
+
+// A chunk gone from under a committed dedup set is damage the server
+// must own up to: 500 corrupt_blob on the full and the selective path,
+// never the 404 of a set that does not exist.
+func TestMissingChunkIsCorruptBlobOverHTTP(t *testing.T) {
+	ctx := context.Background()
+	stores := core.NewMemStores()
+	ts := httptest.NewServer(NewWithConfig(stores, obs.New(), Config{Dedup: true}))
+	t.Cleanup(ts.Close)
+	c := &Client{BaseURL: ts.URL}
+	res, err := c.Save(ctx, "baseline", testSet(t, 4), "", nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := cas.For(stores.Blobs).Recipe("baseline/" + res.SetID + "/params.bin")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := stores.Blobs.Delete(cas.ChunkKey(r.Chunks[0].Hash)); err != nil {
+		t.Fatal(err)
+	}
+	// The client pulls chunk-wise; the chunk endpoint's 404 must not
+	// come out as "set not found".
+	_, fullErr := c.Recover(ctx, "baseline", res.SetID)
+	_, partErr := c.RecoverModels(ctx, "baseline", res.SetID, []int{0})
+	for what, err := range map[string]error{"Recover": fullErr, "RecoverModels": partErr} {
+		if !errors.Is(err, core.ErrCorruptBlob) || errors.Is(err, core.ErrSetNotFound) {
+			t.Errorf("%s of a set missing a chunk: %v, want ErrCorruptBlob", what, err)
+		}
+	}
+	// The multipart path recovers on the server.
+	for _, query := range []string{"", "?indices=0"} {
+		resp, err := http.Get(ts.URL + "/api/baseline/sets/" + res.SetID + "/params" + query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var e httpError
+		err = json.NewDecoder(resp.Body).Decode(&e)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusInternalServerError || e.Code != codeCorruptBlob {
+			t.Errorf("GET params%s: HTTP %d %+v (%v), want 500 corrupt_blob", query, resp.StatusCode, e, err)
+		}
 	}
 }
 

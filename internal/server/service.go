@@ -5,6 +5,7 @@ import (
 
 	"github.com/mmm-go/mmm/internal/core"
 	"github.com/mmm-go/mmm/internal/obs"
+	"github.com/mmm-go/mmm/internal/storage/cas"
 )
 
 // Service is the store-service layer of a node: the management
@@ -18,6 +19,7 @@ import (
 // routed endpoints instead of living tangled inside one handler type.
 type Service struct {
 	stores     core.Stores
+	cas        *cas.Store // stores.Blobs' chunk layer: pull endpoints and the sync cache
 	approaches map[string]core.Approach
 	journal    *opJournal
 	codecID    string // Config.Codec: "" stores raw
@@ -49,6 +51,7 @@ func NewService(stores core.Stores, reg *obs.Registry, cfg Config, opts ...core.
 	}
 	return &Service{
 		stores:     stores,
+		cas:        cas.For(stores.Blobs),
 		approaches: approaches,
 		journal:    newOpJournal(stores.Docs),
 		codecID:    cfg.Codec,

@@ -87,7 +87,7 @@ func (s *Service) SyncSet(ctx context.Context, approach, setID, from string) (Sy
 	// below finds them — the dedup diff and the wire diff are the same
 	// diff.
 	reg := obs.New()
-	peer := &Client{BaseURL: from, Reg: reg, Cache: NewPullCache(s.stores.Blobs)}
+	peer := &Client{BaseURL: from, Reg: reg, Cache: &PullCache{cas: s.cas}}
 	set, err := peer.Recover(ctx, approach, setID)
 	if err != nil {
 		return report, fmt.Errorf("server: sync pull of %s/%s from %s: %w", approach, setID, from, err)

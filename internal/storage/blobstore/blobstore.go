@@ -37,12 +37,26 @@ type Store struct {
 
 	mu    sync.Mutex
 	stats Stats
+
+	// view is the one layer built on top of this store — the CAS layer's
+	// logical-blob view, whose refcount lock, pins and cache must be
+	// shared by everyone using the store. The store owns it, so it lives
+	// exactly as long as the store does. Typed any because the layer
+	// imports this package.
+	viewOnce sync.Once
+	view     any
 }
 
 // New returns a store over b, charging costs from model to clock.
 // A nil clock disables latency modeling.
 func New(b backend.Backend, model latency.CostModel, clock *latency.Clock) *Store {
 	return &Store{backend: b, model: model, clock: clock}
+}
+
+// View returns the store's view, building it with mk on first use.
+func (s *Store) View(mk func(*Store) any) any {
+	s.viewOnce.Do(func() { s.view = mk(s) })
+	return s.view
 }
 
 // NewMem returns an uninstrumented in-memory store, convenient for

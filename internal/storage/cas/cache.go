@@ -4,13 +4,13 @@ import (
 	"sync/atomic"
 
 	"github.com/mmm-go/mmm/internal/obs"
+	"github.com/mmm-go/mmm/internal/storage/backend"
 	"github.com/mmm-go/mmm/internal/storage/cache"
 )
 
-// The serving-tier cache sits directly on the Store: every consumer of
-// one blob store shares one *cas.Store (see For), so attaching the
-// cache here makes it transparently shared by all four approaches'
-// read paths with zero plumbing in the callers.
+// The serving-tier cache sits directly on the Store: a blob store has
+// exactly one (see For), so attaching the cache here makes it shared
+// by all four approaches' read paths with zero plumbing in the callers.
 //
 // Cache key namespaces (one flat cache, byte budget shared by all
 // three — hot recipes and indexes are tiny next to chunks but save a
@@ -19,7 +19,7 @@ import (
 //
 //	<64 hex chars>   decoded logical chunk bytes, keyed by content address
 //	"rcp:"+logical   parsed Recipe of a logical key
-//	"idx:"+blobKey   caller-owned raw blobs (per-set chunk indexes)
+//	"idx:"+blobKey   parsed per-set chunk index stored raw under blobKey
 //
 // Values handed out of the cache are shared and must not be mutated.
 
@@ -74,9 +74,6 @@ func (s *Store) Unpin(hashes ...string) {
 	}
 	s.refMu.Unlock()
 }
-
-// pinCount returns the live pins on h. Callers must hold refMu.
-func (s *Store) pinCount(h string) int { return s.pinned[h] }
 
 // chunkWeight is the cache admission weight of a chunk: its persisted
 // reference count, i.e. how many committed blobs share it. Computed
@@ -151,29 +148,39 @@ func (s *Store) invalidateChunk(hash string) {
 	}
 }
 
-// CacheRaw caches caller-owned raw bytes (per-set chunk indexes) under
-// "idx:"+blobKey in the shared budget. val may be any immutable parsed
-// form; size should be its approximate footprint.
-func (s *Store) CacheRaw(blobKey string, val any, size int64) {
-	if c := s.cache.Load(); c != nil {
-		c.Put(indexKeyPrefix+blobKey, val, size, 1)
-	}
-}
-
-// CachedRaw returns a value stored with CacheRaw.
-func (s *Store) CachedRaw(blobKey string) (any, bool) {
+// LoadIndex returns the parsed chunk index stored raw under key, or nil
+// when there is none (sets saved without dedup, or before indexes
+// existed). Parsed indexes are cached; PutRaw, Delete and
+// QuarantineBlob of the key drop the entry.
+func (s *Store) LoadIndex(key string) (*Index, error) {
 	c := s.cache.Load()
-	if c == nil {
-		return nil, false
+	if c != nil {
+		if v, ok := c.Get(indexKeyPrefix + key); ok {
+			return v.(*Index), nil
+		}
 	}
-	return c.Get(indexKeyPrefix + blobKey)
+	raw, err := s.blobs.Get(key)
+	if err != nil {
+		if backend.IsNotFound(err) {
+			return nil, nil
+		}
+		return nil, err
+	}
+	ix, err := DecodeIndex(raw)
+	if err != nil {
+		return nil, err
+	}
+	if c != nil {
+		c.Put(indexKeyPrefix+key, &ix, int64(len(raw)), 1)
+	}
+	return &ix, nil
 }
 
-// InvalidateRaw drops a CacheRaw entry; core calls it when the
-// underlying blob is deleted or overwritten.
-func (s *Store) InvalidateRaw(blobKey string) {
+// invalidateIndex drops the cached parse of the raw blob under key,
+// after the blob is written, deleted or quarantined.
+func (s *Store) invalidateIndex(key string) {
 	if c := s.cache.Load(); c != nil {
-		c.Delete(indexKeyPrefix + blobKey)
+		c.Delete(indexKeyPrefix + key)
 	}
 }
 

@@ -127,7 +127,7 @@ func TestCacheInvalidatedOnReleaseAndGC(t *testing.T) {
 	if _, ok := s.ChunkCache().Get(h); !ok {
 		t.Fatal("chunk not cached after read")
 	}
-	if _, err := s.Release("k", reg(t)); err != nil {
+	if _, err := s.Delete("k"); err != nil {
 		t.Fatalf("Release: %v", err)
 	}
 	if _, ok := s.ChunkCache().Get(h); ok {
@@ -231,7 +231,7 @@ func TestStressCASReadWriteGC(t *testing.T) {
 				return
 			}
 			if i%2 == 1 {
-				if _, err := s.Release(key, registry); err != nil {
+				if _, err := s.Delete(key); err != nil {
 					errs <- fmt.Errorf("churn Release: %w", err)
 					return
 				}

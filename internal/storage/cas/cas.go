@@ -161,6 +161,10 @@ type PutResult struct {
 	// DedupBytes is how many logical bytes were skipped because their
 	// chunk was already present.
 	DedupBytes int64
+	// Recipe is the recipe a deduplicated write stored (zero for
+	// PutRaw), so callers that derive from it — the per-set chunk index
+	// — need not read it back.
+	Recipe Recipe
 }
 
 // GCReport summarizes one garbage-collection pass.
@@ -177,9 +181,11 @@ type GCReport struct {
 	ChunksKept int `json:"chunks_kept"`
 }
 
-// Store is the content-addressed view over one blob store. Use For to
-// obtain the Store of a blob store: the refcount mutex must be shared
-// by every writer touching the same underlying bytes.
+// Store is the logical-blob store over one blob store, and the only
+// code that knows a logical blob is either one raw blob or a recipe
+// over shared chunks: Get, GetRange, Size and Delete resolve a key
+// either way, PutRaw and Put choose how it is written. For returns the
+// Store of a blob store.
 type Store struct {
 	blobs *blobstore.Store
 
@@ -205,17 +211,13 @@ type Store struct {
 	logical, physical atomic.Int64
 }
 
-// stores maps *blobstore.Store → *Store so that all writers over one
-// blob store share refcount serialization.
-var stores sync.Map
+// For returns the Store of b. b creates it on first use and holds it
+// from then on, so everyone working on b shares one refcount lock, one
+// set of pins and one cache, and all of it is collected with b.
+func For(b *blobstore.Store) *Store { return b.View(newStore).(*Store) }
 
-// For returns the CAS view of b, creating it on first use.
-func For(b *blobstore.Store) *Store {
-	if s, ok := stores.Load(b); ok {
-		return s.(*Store)
-	}
-	s, _ := stores.LoadOrStore(b, &Store{blobs: b, pending: map[string]int{}, pinned: map[string]int{}})
-	return s.(*Store)
+func newStore(b *blobstore.Store) any {
+	return &Store{blobs: b, pending: map[string]int{}, pinned: map[string]int{}}
 }
 
 // registry resolves a caller-supplied metrics registry, describing the
@@ -437,6 +439,7 @@ func (s *Store) PutEncoded(key string, data []byte, chunkSize int, hints Hints, 
 	s.invalidateRecipe(key)
 	res.PhysicalBytes += int64(len(recipeBytes))
 	res.WriteOps++
+	res.Recipe = recipe
 
 	s.refMu.Lock()
 	committed := map[string]int{}
@@ -506,19 +509,41 @@ func (s *Store) Recipe(key string) (Recipe, error) {
 	return r, err
 }
 
-// Has reports whether a recipe exists for the logical key.
-func (s *Store) Has(key string) bool {
-	_, err := s.blobs.Size(RecipeKey(key))
-	return err == nil
+// PutRaw stores data under key as one raw blob, unchunked — the write
+// of saves without dedup, and of small derived artifacts (the per-set
+// chunk index) that are not worth chunking.
+func (s *Store) PutRaw(key string, data []byte) (PutResult, error) {
+	if err := s.blobs.Put(key, data); err != nil {
+		return PutResult{}, err
+	}
+	s.invalidateIndex(key)
+	return PutResult{PhysicalBytes: int64(len(data)), WriteOps: 1}, nil
+}
+
+// recipeOf resolves the recipe of a logical key that has no raw blob.
+// rawErr is the raw blob's NotFound; it is what the caller gets when
+// there is no recipe either, so the error names the logical key.
+func (s *Store) recipeOf(key string, rawErr error) (Recipe, error) {
+	r, err := s.readRecipeCached(key)
+	if backend.IsNotFound(err) {
+		return Recipe{}, rawErr
+	}
+	return r, err
 }
 
 // Size returns the logical size of the blob stored under key.
 func (s *Store) Size(key string) (int64, error) {
-	r, _, err := s.readRecipe(key)
-	if err != nil {
+	n, err := s.blobs.Size(key)
+	if !backend.IsNotFound(err) {
+		return n, err
+	}
+	// Read from the store, not the cache: VerifyStore sizes every blob
+	// to notice a recipe that no longer parses.
+	r, _, rerr := s.readRecipe(key)
+	if backend.IsNotFound(rerr) {
 		return 0, err
 	}
-	return r.Size, nil
+	return r.Size, rerr
 }
 
 // encodeFrame returns the framed encoded body of raw under c — the
@@ -622,14 +647,24 @@ func (s *Store) PutChunk(hash string, data []byte) error {
 	return nil
 }
 
-// Get reassembles the logical blob stored under key. Chunk fetch and
-// decode fan out across one worker per CPU into disjoint slots of the
-// preallocated result, so decompression of large blobs scales with
-// cores while remaining byte-identical to a serial read. The chunks
-// being read are pinned for the duration, so a concurrent prune or GC
-// of the last other reference cannot delete them mid-read.
+// Get returns the logical blob stored under key: the raw blob when
+// there is one, else the blob its recipe reassembles. A key with
+// neither fails with the raw blob's NotFound. A recipe is a promise
+// that its chunks exist, so a chunk it names that is absent or
+// quarantined fails with ErrCorrupt, never NotFound.
+//
+// Chunk fetch and decode fan out across one worker per CPU into
+// disjoint slots of the preallocated result, so decompression of large
+// blobs scales with cores while remaining byte-identical to a serial
+// read. The chunks being read are pinned for the duration, so a
+// concurrent prune or GC of the last other reference cannot delete
+// them mid-read.
 func (s *Store) Get(key string) ([]byte, error) {
-	r, err := s.readRecipeCached(key)
+	data, err := s.blobs.Get(key)
+	if !backend.IsNotFound(err) {
+		return data, err
+	}
+	r, err := s.recipeOf(key, err)
 	if err != nil {
 		return nil, err
 	}
@@ -645,7 +680,7 @@ func (s *Store) Get(key string) ([]byte, error) {
 	}
 	err = pool.Run(context.Background(), pool.DefaultWorkers(), len(r.Chunks), func(i int) error {
 		c := r.Chunks[i]
-		data, err := s.getChunkCached(c.Hash, c.Size)
+		data, err := s.recipeChunk(c.Hash, c.Size)
 		if err != nil {
 			return err
 		}
@@ -671,55 +706,78 @@ func distinctHashes(chunks []RecipeChunk) []string {
 	return out
 }
 
-// GetRange reads length bytes at offset off from the logical blob,
-// fetching only the chunks the range overlaps.
+// GetRange reads length bytes at offset off of the logical blob under
+// key, fetching only the chunks the range overlaps when the blob is
+// chunked. Errors are classified as in Get.
 func (s *Store) GetRange(key string, off, length int64) ([]byte, error) {
-	r, err := s.readRecipeCached(key)
+	data, err := s.blobs.GetRange(key, off, length)
+	if !backend.IsNotFound(err) {
+		return data, err
+	}
+	r, err := s.recipeOf(key, err)
 	if err != nil {
 		return nil, err
 	}
 	if off < 0 || length < 0 || off+length > r.Size {
 		return nil, &backend.RangeError{Key: key, Off: off, Length: length, Size: r.Size}
 	}
-	var overlap []string
-	var scan int64
-	for _, c := range r.Chunks {
-		lo, hi := scan, scan+c.Size
-		scan = hi
-		if hi > off && lo < off+length {
-			overlap = append(overlap, c.Hash)
-		}
+	return s.GetIndexed(&Index{Size: r.Size, Chunks: r.Chunks}, off, length)
+}
+
+// GetIndexed reads [off, off+length) of the chunked blob ix describes,
+// fetching exactly the chunks the range overlaps — pinned against
+// concurrent release and GC, and served through the cache. The result
+// is a fresh buffer. An index is a rendition of a recipe: a range it
+// cannot locate and a chunk it names that is gone are both ErrCorrupt.
+func (s *Store) GetIndexed(ix *Index, off, length int64) ([]byte, error) {
+	spans, err := ix.Locate(off, length)
+	if err != nil {
+		return nil, fmt.Errorf("%v: %w", err, ErrCorrupt)
 	}
-	s.Pin(overlap...)
-	defer s.Unpin(overlap...)
+	hashes := make([]string, len(spans))
+	for i, sp := range spans {
+		hashes[i] = sp.Hash
+	}
+	s.Pin(hashes...)
+	defer s.Unpin(hashes...)
 	out := make([]byte, 0, length)
-	var pos int64
-	for _, c := range r.Chunks {
-		lo, hi := pos, pos+c.Size
-		pos = hi
-		if hi <= off {
-			continue
-		}
-		if lo >= off+length {
-			break
-		}
-		data, err := s.getChunkCached(c.Hash, c.Size)
+	for _, sp := range spans {
+		data, err := s.recipeChunk(sp.Hash, sp.Size)
 		if err != nil {
 			return nil, err
 		}
-		from, to := int64(0), c.Size
-		if off > lo {
-			from = off - lo
-		}
-		if off+length < hi {
-			to = off + length - lo
-		}
-		out = append(out, data[from:to]...)
+		out = append(out, data[sp.From:sp.To]...)
 	}
 	return out, nil
 }
 
-// Release drops the references the logical key holds and deletes its
+// recipeChunk reads a chunk on behalf of a recipe or index naming it.
+func (s *Store) recipeChunk(hash string, size int64) ([]byte, error) {
+	data, err := s.getChunkCached(hash, size)
+	if backend.IsNotFound(err) {
+		return nil, fmt.Errorf("%w: chunk %s is listed by a recipe but missing", ErrCorrupt, hash)
+	}
+	return data, err
+}
+
+// Delete removes the logical blob under key and returns the physical
+// bytes freed: a raw blob frees its own size; a chunked blob gives up
+// its references and frees only its recipe plus the chunks nothing
+// else shares. A key with neither frees nothing and is not an error.
+func (s *Store) Delete(key string) (freed int64, err error) {
+	size, err := s.blobs.Size(key)
+	if backend.IsNotFound(err) {
+		return s.release(key)
+	}
+	if err != nil {
+		return 0, err
+	}
+	err = s.blobs.Delete(key)
+	s.invalidateIndex(key)
+	return size, err
+}
+
+// release drops the references the logical key holds and deletes its
 // recipe. Chunks whose refcount reaches zero (and that no in-flight
 // Put is relying on) are deleted eagerly; the returned count is the
 // physical bytes actually freed, recipe included. Releasing a key
@@ -729,8 +787,7 @@ func (s *Store) GetRange(key string, off, length int64) ([]byte, error) {
 // The recipe is deleted before any refcount is decremented so that a
 // crash mid-release leaves counts too high (orphan-class debris fsck
 // repairs), never too low.
-func (s *Store) Release(key string, reg *obs.Registry) (freed int64, err error) {
-	_ = registry(reg)
+func (s *Store) release(key string) (freed int64, err error) {
 	r, raw, err := s.readRecipe(key)
 	if err != nil {
 		if backend.IsNotFound(err) {
@@ -877,39 +934,6 @@ func (s *Store) GC(reg *obs.Registry) (GCReport, error) {
 	return report, nil
 }
 
-// Usage summarizes physical and logical occupancy for `mmstore du`.
-type Usage struct {
-	// Recipes is the number of logical blobs stored.
-	Recipes int `json:"recipes"`
-	// LogicalBytes is the sum of the logical sizes of all recipes.
-	LogicalBytes int64 `json:"logical_bytes"`
-	// Chunks is the number of distinct chunks present.
-	Chunks int `json:"chunks"`
-	// ChunkBytes is the physical payload bytes of those chunks.
-	ChunkBytes int64 `json:"chunk_bytes"`
-	// RecipeBytes is the bytes spent on recipe documents.
-	RecipeBytes int64 `json:"recipe_bytes"`
-}
-
-// Usage scans the CAS namespace and reports occupancy.
-func (s *Store) Usage() (Usage, error) {
-	scan, err := ScanStore(s.blobs)
-	if err != nil {
-		return Usage{}, err
-	}
-	var u Usage
-	u.Recipes = len(scan.Recipes) + len(scan.BadRecipes)
-	for _, r := range scan.Recipes {
-		u.LogicalBytes += r.Size
-	}
-	u.Chunks = len(scan.Chunks)
-	for _, size := range scan.Chunks {
-		u.ChunkBytes += size
-	}
-	u.RecipeBytes = scan.RecipeBytes
-	return u, nil
-}
-
 // Scan is the raw CAS inventory fsck and du build their checks on.
 type Scan struct {
 	// Recipes maps logical keys to their parsed recipes.
@@ -987,17 +1011,23 @@ func ScanStore(b *blobstore.Store) (*Scan, error) {
 	return scan, nil
 }
 
-// RecipeKeys lists the logical keys that have recipes, optionally
-// filtered by logical-key prefix.
-func (s *Store) RecipeKeys(prefix string) ([]string, error) {
+// Keys lists the logical blob keys under prefix: raw blobs plus the
+// logical keys of recipes. Chunks, refcounts and recipes themselves are
+// physical storage and never listed.
+func (s *Store) Keys(prefix string) ([]string, error) {
 	keys, err := s.blobs.Keys()
 	if err != nil {
 		return nil, err
 	}
 	var out []string
 	for _, k := range keys {
-		if logical, ok := LogicalKey(k); ok && strings.HasPrefix(logical, prefix) {
-			out = append(out, logical)
+		if logical, ok := LogicalKey(k); ok {
+			k = logical
+		} else if IsKey(k) {
+			continue
+		}
+		if strings.HasPrefix(k, prefix) {
+			out = append(out, k)
 		}
 	}
 	return out, nil

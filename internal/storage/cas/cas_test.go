@@ -3,12 +3,15 @@ package cas
 import (
 	"bytes"
 	"errors"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"github.com/mmm-go/mmm/internal/obs"
 	"github.com/mmm-go/mmm/internal/storage/backend"
 	"github.com/mmm-go/mmm/internal/storage/blobstore"
+	"github.com/mmm-go/mmm/internal/storage/latency"
 )
 
 func newTestStore(t *testing.T) (*Store, *blobstore.Store) {
@@ -111,7 +114,7 @@ func TestReleaseFreesOnlyUnshared(t *testing.T) {
 	if _, err := s.Put("b", shared, 100, Hints{}, reg(t)); err != nil {
 		t.Fatal(err)
 	}
-	freed, err := s.Release("a", reg(t))
+	freed, err := s.Delete("a")
 	if err != nil {
 		t.Fatalf("Release: %v", err)
 	}
@@ -127,7 +130,7 @@ func TestReleaseFreesOnlyUnshared(t *testing.T) {
 		t.Fatalf("released blob still readable: %v", err)
 	}
 	// Releasing again is a no-op.
-	if freed, err := s.Release("a", reg(t)); err != nil || freed != 0 {
+	if freed, err := s.Delete("a"); err != nil || freed != 0 {
 		t.Fatalf("second Release = %d, %v; want 0, nil", freed, err)
 	}
 	// No unreferenced chunks remain.
@@ -187,7 +190,7 @@ func TestPutUndoOnRefFailure(t *testing.T) {
 	if _, err := s.Put("bad", bad, 100, Hints{}, reg(t)); err == nil {
 		t.Fatal("Put with garbled refcount succeeded")
 	}
-	if s.Has("bad") {
+	if _, err := s.Recipe("bad"); !backend.IsNotFound(err) {
 		t.Fatal("failed Put left its recipe behind")
 	}
 	scan, err := ScanStore(b)
@@ -203,27 +206,6 @@ func TestPutUndoOnRefFailure(t *testing.T) {
 	}
 }
 
-func TestUsage(t *testing.T) {
-	s, _ := newTestStore(t)
-	data := bytes.Repeat([]byte{8}, 500)
-	if _, err := s.Put("x", data, 100, Hints{}, reg(t)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Put("y", data, 100, Hints{}, reg(t)); err != nil {
-		t.Fatal(err)
-	}
-	u, err := s.Usage()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if u.Recipes != 2 || u.LogicalBytes != 1000 {
-		t.Fatalf("Usage logical: %+v", u)
-	}
-	if u.Chunks != 1 || u.ChunkBytes != 100 {
-		t.Fatalf("Usage physical: %+v", u)
-	}
-}
-
 func TestForSharesRefLock(t *testing.T) {
 	b := blobstore.NewMem()
 	if For(b) != For(b) {
@@ -231,6 +213,51 @@ func TestForSharesRefLock(t *testing.T) {
 	}
 	if For(blobstore.NewMem()) == For(b) {
 		t.Fatal("For shared a store across distinct blobstores")
+	}
+}
+
+// TestStoreLivesAndDiesWithItsBlobStore: the blob store owns its CAS
+// view, so nothing in this package keeps a dropped store — and, through
+// it, every byte of its backend — reachable, and two blob stores opened
+// over one backend share no pins, pending counts or cache.
+func TestStoreLivesAndDiesWithItsBlobStore(t *testing.T) {
+	collected := make(chan struct{})
+	func() {
+		// The finalizer sits on the backend: the two stores reference
+		// each other, and finalizers inside a cycle never run.
+		be := backend.NewMem()
+		runtime.SetFinalizer(be, func(*backend.Mem) { close(collected) })
+		s := For(blobstore.New(be, latency.CostModel{}, nil))
+		s.EnableCache(1<<20, reg(t))
+		data := bytes.Repeat([]byte{4, 2}, 300)
+		if _, err := s.Put("k", data, 100, Hints{}, reg(t)); err != nil {
+			t.Fatal(err)
+		}
+		if got, err := s.Get("k"); err != nil || !bytes.Equal(got, data) {
+			t.Fatalf("Get: %v", err)
+		}
+	}()
+	for i := 0; ; i++ {
+		runtime.GC()
+		select {
+		case <-collected:
+		case <-time.After(10 * time.Millisecond):
+			if i < 100 {
+				continue
+			}
+			t.Fatal("a dropped blob store that was used through For is still reachable")
+		}
+		break
+	}
+
+	be := backend.NewMem()
+	s1 := For(blobstore.New(be, latency.CostModel{}, nil))
+	s2 := For(blobstore.New(be, latency.CostModel{}, nil))
+	s1.EnableCache(1<<20, reg(t))
+	s1.Pin("h")
+	s1.pending["h"]++
+	if s1 == s2 || len(s2.pinned) != 0 || len(s2.pending) != 0 || s2.ChunkCache() != nil {
+		t.Fatal("two blob stores over one backend share CAS state")
 	}
 }
 

@@ -34,11 +34,9 @@ const (
 	indexVersion = 1
 )
 
-// IndexChunk is one chunk reference in an Index, in blob order.
-type IndexChunk struct {
-	Hash string // hex SHA-256 of the logical chunk bytes
-	Size int64  // logical chunk length
-}
+// IndexChunk is one chunk reference in an Index, in blob order: the
+// content address and logical length, exactly what a recipe records.
+type IndexChunk = RecipeChunk
 
 // Index locates chunks by byte range inside one logical blob.
 type Index struct {
@@ -51,13 +49,10 @@ type Index struct {
 	Chunks []IndexChunk
 }
 
-// BuildIndex derives the index of a blob from its recipe.
+// BuildIndex derives the index of a blob from its recipe, whose chunk
+// list it shares.
 func BuildIndex(stride int64, r Recipe) Index {
-	ix := Index{Stride: stride, Size: r.Size, Chunks: make([]IndexChunk, len(r.Chunks))}
-	for i, c := range r.Chunks {
-		ix.Chunks[i] = IndexChunk{Hash: c.Hash, Size: c.Size}
-	}
-	return ix
+	return Index{Stride: stride, Size: r.Size, Chunks: r.Chunks}
 }
 
 // Encode renders the index in its wire format.

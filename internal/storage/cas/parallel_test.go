@@ -82,7 +82,7 @@ func TestPutEncodedParallelUndo(t *testing.T) {
 		Encoding{Codec: zlib, Workers: 8}, nil); err == nil {
 		t.Fatal("PutEncoded succeeded on a dying store")
 	}
-	if s.Has("k") {
+	if _, err := s.Recipe("k"); !backend.IsNotFound(err) {
 		t.Fatal("failed PutEncoded left its recipe behind")
 	}
 	faulty.FailPutsAfter(-1)

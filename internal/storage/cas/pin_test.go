@@ -65,7 +65,7 @@ func TestPinBlocksEagerDeleteAndGC(t *testing.T) {
 	s.Pin(h)
 	// Release drops the only reference; the pin must keep the chunk's
 	// bytes on disk even though its refcount file is gone.
-	if _, err := s.Release("doomed", reg(t)); err != nil {
+	if _, err := s.Delete("doomed"); err != nil {
 		t.Fatalf("Release: %v", err)
 	}
 	if _, err := s.blobs.Size(ChunkKey(h)); err != nil {
@@ -138,7 +138,7 @@ func TestPinRegressionInFlightRead(t *testing.T) {
 	}
 
 	// Drop the last reference and GC while the read is in flight.
-	if _, err := s.Release("victim", reg(t)); err != nil {
+	if _, err := s.Delete("victim"); err != nil {
 		t.Fatalf("Release: %v", err)
 	}
 	report, err := s.GC(reg(t))
@@ -180,7 +180,7 @@ func TestPinUnpinCountsNest(t *testing.T) {
 	s.Pin(h)
 	s.Unpin(h)
 	// One pin still held.
-	if _, err := s.Release("k", reg(t)); err != nil {
+	if _, err := s.Delete("k"); err != nil {
 		t.Fatalf("Release: %v", err)
 	}
 	if _, err := s.blobs.Size(ChunkKey(h)); err != nil {

@@ -38,6 +38,17 @@ func (s *Store) QuarantineChunk(hash string) (moved bool, err error) {
 	return true, nil
 }
 
+// QuarantineBlob moves the raw blob under key — one that no longer
+// verifies — into quarantine, dropping any cached parse of it. Returns
+// the backend's NotFound when there is no such blob.
+func (s *Store) QuarantineBlob(key string) error {
+	_, err := s.blobs.Quarantine(key)
+	if err == nil {
+		s.invalidateIndex(key)
+	}
+	return err
+}
+
 // ChunkQuarantined reports whether the chunk's body sits in quarantine.
 func (s *Store) ChunkQuarantined(hash string) bool {
 	return s.blobs.HasQuarantined(ChunkKey(hash))
