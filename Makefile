@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test vet loc check-runs check-seam race race-stress fsck-smoke metrics-smoke chaos-smoke dedup-smoke codec-smoke pull-smoke scrub-smoke cluster-smoke fuzz check bench
+.PHONY: build test vet loc check-runs check-seam check-bench race race-stress fsck-smoke metrics-smoke chaos-smoke dedup-smoke codec-smoke pull-smoke scrub-smoke cluster-smoke fuzz check bench
 
 build:
 	$(GO) build ./...
@@ -51,6 +51,14 @@ check-seam:
 	leaks=$$(grep -n 'InvalidateRaw\|RecipeKey(' internal/core/*.go | grep -v '_test\.go:' | grep -v '^internal/core/fsck_cas\.go:' || true); \
 	test -z "$$leaks" || { echo "check-seam FAILED: core reaches below the seam:"; echo "$$leaks"; exit 1; }; \
 	echo "check-seam OK: cas.For only in constructors, no recipe keys or cache calls in core"
+
+# bench/ is a module of its own, so `go build ./... && go test ./...`
+# never compiles it — yet it imports internal/ packages. Vet and test
+# it here, so a signature change that breaks the benchmark fails
+# locally instead of at the next benchmark run.
+check-bench:
+	$(GO) -C bench vet .
+	$(GO) -C bench test .
 
 # Non-test, non-generated Go lines per package under internal/ and
 # cmd/ — the number simplification PRs report before and after.
@@ -283,11 +291,11 @@ fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzTLZRoundTrip -fuzztime=10s ./internal/codec
 	$(GO) test -run=NONE -fuzz=FuzzPullManifestDecode -fuzztime=10s ./internal/server
 
-# The full gate: compile everything, vet, run the suite twice —
-# once plain, once under the race detector — then the durability,
-# observability, resilience, dedup, codec, pull, self-healing, and
-# cluster smoke tests and the short fuzz pass.
-check: build vet check-runs check-seam test race race-stress fsck-smoke metrics-smoke chaos-smoke dedup-smoke codec-smoke pull-smoke scrub-smoke cluster-smoke fuzz
+# The full gate: compile everything (the benchmark module too), vet,
+# run the suite twice — once plain, once under the race detector —
+# then the durability, observability, resilience, dedup, codec, pull,
+# self-healing, and cluster smoke tests and the short fuzz pass.
+check: build vet check-runs check-seam check-bench test race race-stress fsck-smoke metrics-smoke chaos-smoke dedup-smoke codec-smoke pull-smoke scrub-smoke cluster-smoke fuzz
 
 bench:
 	$(GO) test -bench=. -benchmem

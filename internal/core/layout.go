@@ -45,6 +45,7 @@ const (
 	archFile   = "arch.json"
 	paramsFile = "params.bin"
 	diffFile   = "diff.bin"
+	hashFile   = "hashes.bin"
 )
 
 // layout declares where one approach keeps its sets.
@@ -241,22 +242,30 @@ func provenanceDatasetIDs(st Stores, meta setMeta) ([]string, error) {
 	return ids, nil
 }
 
-// updateArtifacts: a hash document always; full blobs for initial
-// sets, a diff document and diff blob for derived ones. With the kind
-// unknown the diff document is shielded too.
+// updateArtifacts: hash info always — the hash table blob, or the hash
+// document of sets saved before the table existed (the metadata says
+// which); full blobs for initial sets, a diff document and diff blob
+// for derived ones. With the metadata unreadable both documents are
+// shielded.
 func updateArtifacts(l *layout, id string, meta *setMeta) setArtifacts {
-	hashes := docRef{collection: updateHashCollection, what: "hash document"}
-	diffs := docRef{collection: updateDiffCollection, what: "diff document"}
+	hashes := docRef{updateHashCollection, id, "hash document"}
+	diffs := docRef{updateDiffCollection, id, "diff document"}
+	arts := l.setDocs(id)
 	switch {
 	case meta == nil:
-		return l.setDocs(id, hashes, diffs)
-	case meta.Kind == "full":
-		arts := l.setDocs(id, hashes)
-		arts.blobs = l.fullBlobs(id)
+		arts.docs = append(arts.docs, hashes, diffs)
 		return arts
+	case meta.HashTable:
+		arts.blobs = []blobRef{{key: l.blobKey(id, hashFile), what: "hash table"}}
+	default:
+		arts.docs = append(arts.docs, hashes)
 	}
-	arts := l.setDocs(id, hashes, diffs)
-	arts.blobs = []blobRef{{key: l.blobKey(id, diffFile), what: "diff blob"}}
+	if meta.Kind == "full" {
+		arts.blobs = append(arts.blobs, l.fullBlobs(id)...)
+	} else {
+		arts.docs = append(arts.docs, diffs)
+		arts.blobs = append(arts.blobs, blobRef{key: l.blobKey(id, diffFile), what: "diff blob"})
+	}
 	return arts
 }
 

@@ -64,13 +64,8 @@ func TestGoldenLayout(t *testing.T) {
 			}
 			a := ap.open(st, append([]Option{WithConcurrency(1)}, v.opts...)...)
 
-			set := mustNewSet(t, 4)
-			u1 := mustSave(t, a, SaveRequest{Set: set})
-			ups := runCycle(t, set, st.Datasets, 1, []int{0}, []int{2})
-			u31 := mustSave(t, a, SaveRequest{Set: set, Base: u1.SetID, Updates: ups, Train: testTrainInfo()})
-			ups = runCycle(t, set, st.Datasets, 2, []int{1}, []int{3})
-			u32 := mustSave(t, a, SaveRequest{Set: set, Base: u31.SetID, Updates: ups, Train: testTrainInfo()})
-			if rec := mustRecover(t, a, u32.SetID); !rec.Equal(set) {
+			ids, truths := goldenChain(t, a, st)
+			if rec := mustRecover(t, a, ids[2]); !rec.Equal(truths[2]) {
 				t.Fatalf("%s/%s: U3-2 does not recover bit-identically", ap.name, v.name)
 			}
 

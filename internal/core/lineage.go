@@ -18,6 +18,11 @@ type SetInfo struct {
 	// it — encoded artifacts are self-describing — but du, inspect,
 	// and the server surface it.
 	Codec string `json:"codec,omitempty"`
+	// HashTable marks an Update set whose hash info is the hashes.bin
+	// table blob. Absent on every other approach's sets and on Update
+	// sets saved before the table existed, whose hash info is a JSON
+	// document in update_hashes.
+	HashTable bool `json:"hash_table,omitempty"`
 }
 
 // Lineager exposes a set's recovery chain: the sequence of sets that

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"sort"
@@ -214,21 +215,24 @@ func paramByteSizes(arch *nn.Architecture) []int {
 }
 
 // applyModels implements approachImpl for Update: apply only the
-// selected models' diff segments, located by computed offsets.
+// selected models' diff segments, located by computed offsets, and
+// verify them against only those models' rows of the hash table.
 func (u *Update) applyModels(ctx context.Context, meta setMeta, base *PartialRecovery, idx []int, rs *recoverSettings) error {
 	setID := meta.SetID
 	var diff diffDoc
 	if err := u.stores.Docs.Get(updateDiffCollection, setID, &diff); err != nil {
 		return fmt.Errorf("core: loading diff list: %w", err)
 	}
-	var stored hashDoc
-	if err := u.stores.Docs.Get(updateHashCollection, setID, &stored); err != nil {
-		return fmt.Errorf("core: loading hash info: %w", err)
-	}
 
-	wanted := make(map[int]bool, len(idx))
+	// A selected model's entries apply in order, one unit of work per
+	// model. Only selected models have a key; nil means no entry yet.
+	type application struct {
+		e   diffEntry
+		off int64
+	}
+	perModel := make(map[int][]application, len(idx))
 	for _, i := range idx {
-		wanted[i] = true
+		perModel[i] = nil
 	}
 	sizes := paramByteSizes(base.Arch)
 	blobKey := u.layout.blobKey(setID, diffFile)
@@ -237,25 +241,27 @@ func (u *Update) applyModels(ctx context.Context, meta setMeta, base *PartialRec
 	// selected segments then read and apply independently. The walk also
 	// yields the blob's total (decompressed) size, which bounds the
 	// decompression of compressed blobs below.
-	type application struct {
-		e   diffEntry
-		off int64
-	}
-	var apply []application
-	seen := make(map[diffEntry]bool, len(diff.Entries))
+	var changed []int
+	seen := make(map[diffEntry]bool)
 	var off int64
 	for _, e := range diff.Entries {
 		if e.P < 0 || e.P >= len(sizes) {
 			return fmt.Errorf("core: diff references parameter %d of model %d", e.P, e.M)
 		}
-		if wanted[e.M] {
+		if apps, wanted := perModel[e.M]; wanted {
 			if seen[e] {
 				return fmt.Errorf("core: duplicate diff entry (%d,%d): %w", e.M, e.P, ErrCorruptBlob)
 			}
 			seen[e] = true
-			apply = append(apply, application{e: e, off: off})
+			if apps == nil {
+				changed = append(changed, e.M)
+			}
+			perModel[e.M] = append(apps, application{e: e, off: off})
 		}
 		off += int64(sizes[e.P])
+	}
+	if len(changed) == 0 {
+		return nil // this level changed none of the selected models
 	}
 
 	// An encoded blob has no stable offsets; fall back to reading and
@@ -271,50 +277,53 @@ func (u *Update) applyModels(ctx context.Context, meta setMeta, base *PartialRec
 			return err
 		}
 	}
+	hashRow, err := u.openHashRows(meta, len(sizes))
+	if err != nil {
+		return err
+	}
 
-	return pool.Run(ctx, u.workers, len(apply), func(k int) error {
-		e, off := apply[k].e, apply[k].off
+	return pool.Run(ctx, u.workers, len(changed), func(k int) error {
+		m := changed[k]
 		one := func() error {
-			size := int64(sizes[e.P])
-			var segment []byte
-			if whole != nil {
-				if off+size > int64(len(whole)) {
-					return fmt.Errorf("core: diff blob truncated at model %d: %w", e.M, ErrCorruptBlob)
-				}
-				segment = whole[off : off+size]
-			} else {
-				var err error
-				segment, err = u.getBlobRange(blobKey, off, size)
-				if err != nil {
-					return fmt.Errorf("core: reading diff of model %d: %w", e.M, err)
-				}
-			}
-			model, ok := base.Models[e.M]
+			model, ok := base.Models[m]
 			if !ok {
-				return fmt.Errorf("core: base recovery missing model %d", e.M)
+				return fmt.Errorf("core: base recovery missing model %d", m)
 			}
-			t := model.Params()[e.P].Tensor
-			if diff.Delta {
-				if _, err := t.XORFromBytes(segment); err != nil {
-					return fmt.Errorf("core: applying diff for model %d param %d: %w", e.M, e.P, err)
+			stored, err := hashRow(m)
+			if err != nil {
+				return fmt.Errorf("core: reading hashes of model %d: %w", m, err)
+			}
+			params := model.Params()
+			for _, a := range perModel[m] {
+				p, size := a.e.P, int64(sizes[a.e.P])
+				var segment []byte
+				if whole != nil {
+					if a.off+size > int64(len(whole)) {
+						return fmt.Errorf("core: diff blob truncated at model %d: %w", m, ErrCorruptBlob)
+					}
+					segment = whole[a.off : a.off+size]
+				} else if segment, err = u.getBlobRange(blobKey, a.off, size); err != nil {
+					return fmt.Errorf("core: reading diff of model %d: %w", m, err)
 				}
-			} else if _, err := t.SetFromBytes(segment); err != nil {
-				return fmt.Errorf("core: applying diff for model %d param %d: %w", e.M, e.P, err)
-			}
-			// A hash document that does not cover the entry would silently
-			// disable the integrity check, so it is corruption.
-			if e.M >= len(stored.Models) || e.P >= len(stored.Models[e.M]) {
-				return fmt.Errorf("core: hash info does not cover model %d param %d: %w", e.M, e.P, ErrCorruptBlob)
-			}
-			if got := hashing.Tensor(t); got != stored.Models[e.M][e.P] {
-				return fmt.Errorf("core: model %d param %d hash mismatch after applying diff: %w", e.M, e.P, ErrCorruptBlob)
+				t := params[p].Tensor
+				if diff.Delta {
+					_, err = t.XORFromBytes(segment)
+				} else {
+					_, err = t.SetFromBytes(segment)
+				}
+				if err != nil {
+					return fmt.Errorf("core: applying diff for model %d param %d: %w", m, p, err)
+				}
+				if got := hashing.Tensor(t); !bytes.Equal(got[:], hashAt(stored, p)) {
+					return fmt.Errorf("core: model %d param %d hash mismatch after applying diff: %w", m, p, ErrCorruptBlob)
+				}
 			}
 			return nil
 		}
-		// In degraded mode a failed diff application drops model e.M
-		// (rs.finish strips it even if other entries applied cleanly);
-		// the other requested models keep recovering.
-		if err := one(); err != nil && !rs.skip(e.M, err) {
+		// In degraded mode a failed diff application drops model m
+		// (rs.finish strips it even if some entries applied cleanly); the
+		// other requested models keep recovering.
+		if err := one(); err != nil && !rs.skip(m, err) {
 			return err
 		}
 		return nil

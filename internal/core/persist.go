@@ -277,9 +277,10 @@ func (op *saveOp) newMeta(label, setID string, req SaveRequest) setMeta {
 // written last: a set only becomes visible once its artifacts are
 // complete. preMeta, when non-nil, runs after the blobs but before the
 // metadata document — the hook for approaches that must persist
-// auxiliary documents inside the same commit boundary (a crash after
-// the metadata write must never leave them missing).
-func (b *approachBase) fullSave(ctx context.Context, op *saveOp, setID string, req SaveRequest, preMeta func() error) error {
+// auxiliary artifacts inside the same commit boundary (a crash after
+// the metadata write must never leave them missing) and record them in
+// the metadata.
+func (b *approachBase) fullSave(ctx context.Context, op *saveOp, setID string, req SaveRequest, preMeta func(*setMeta) error) error {
 	l := b.layout
 	if err := saveArchBlob(op, l.blobKey(setID, archFile), req.Set.Arch); err != nil {
 		return err
@@ -314,12 +315,13 @@ func (b *approachBase) fullSave(ctx context.Context, op *saveOp, setID string, r
 	if err := ctx.Err(); err != nil {
 		return err
 	}
+	meta := op.newMeta(l.label, setID, req)
 	if preMeta != nil {
-		if err := preMeta(); err != nil {
+		if err := preMeta(&meta); err != nil {
 			return err
 		}
 	}
-	if err := op.insertDoc(l.collection, setID, op.newMeta(l.label, setID, req)); err != nil {
+	if err := op.insertDoc(l.collection, setID, meta); err != nil {
 		return fmt.Errorf("core: writing metadata: %w", err)
 	}
 	return nil

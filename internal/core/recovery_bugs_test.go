@@ -140,18 +140,17 @@ func saveUpdateDerived(t *testing.T, u *Update, st Stores) string {
 	return res.SetID
 }
 
+// TestUpdateTruncatedHashDocDetected: a legacy hash document that no
+// longer covers the set must fail recovery, not disable the integrity
+// check (hashtable_test.go holds the same for the table).
 func TestUpdateTruncatedHashDocDetected(t *testing.T) {
 	st := NewMemStores()
 	u := NewUpdate(st)
 	id := saveUpdateDerived(t, u, st)
+	toLegacyHashDocs(t, u, id)
 
 	// Truncate the hash document so the diff's entries point past it.
-	var hashes hashDoc
-	if err := st.Docs.Get(updateHashCollection, id, &hashes); err != nil {
-		t.Fatal(err)
-	}
-	truncated := hashDoc{Models: hashes.Models[:0]}
-	if err := st.Docs.Insert(updateHashCollection, id, truncated); err != nil {
+	if err := st.Docs.Insert(updateHashCollection, id, hashDoc{Models: [][]string{}}); err != nil {
 		t.Fatal(err)
 	}
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"time"
@@ -61,12 +62,6 @@ func NewUpdate(stores Stores, opts ...Option) *Update {
 	return u
 }
 
-// hashDoc stores every model's per-layer parameter hashes, aligned
-// with the architecture's ParamKeys order.
-type hashDoc struct {
-	Models [][]string `json:"models"`
-}
-
 // diffEntry identifies one changed layer: model index and parameter
 // index into the architecture's ParamKeys.
 type diffEntry struct {
@@ -109,36 +104,33 @@ func (u *Update) write(ctx context.Context, op *saveOp, setID string, req SaveRe
 	}
 	op.span.Phase("hash")
 
+	var baseMeta setMeta
 	full := req.Base == ""
-	depth := 0
 	if !full {
-		baseMeta, err := u.checkBase(req)
-		if err != nil {
+		if baseMeta, err = u.checkBase(req); err != nil {
 			return err
 		}
-		depth = baseMeta.Depth + 1
-		if u.SnapshotInterval > 0 && depth >= u.SnapshotInterval {
-			// Cut the recovery chain with a full snapshot.
-			full = true
-		}
+		// Cut the recovery chain with a full snapshot.
+		full = u.SnapshotInterval > 0 && baseMeta.Depth+1 >= u.SnapshotInterval
 	}
 
-	// The hash document is written for full and derived saves alike: it
-	// is what lets the *next* save detect changes "without having to
-	// load the full representation of the previous model". It must land
+	// The hash table is written for full and derived saves alike: it is
+	// what lets the *next* save detect changes "without having to load
+	// the full representation of the previous model". It must land
 	// *before* the set's metadata document — the metadata doc is the
 	// commit record, and a crash in between must never yield a visible
 	// set whose hash info is missing.
-	writeHashes := func() error {
-		if err := op.insertDoc(updateHashCollection, setID, hashDoc{Models: hashes}); err != nil {
+	writeHashes := func(meta *setMeta) error {
+		if _, err := op.put(u.layout.blobKey(setID, hashFile), hashes.raw, cas.Hints{}, op.dedup); err != nil {
 			return fmt.Errorf("core: writing hash info: %w", err)
 		}
+		meta.HashTable = true
 		return nil
 	}
 	if full {
 		err = u.fullSave(ctx, op, setID, req, writeHashes)
 	} else {
-		err = u.saveDerived(ctx, op, setID, req, hashes, depth, writeHashes)
+		err = u.saveDerived(ctx, op, setID, req, hashes, baseMeta, writeHashes)
 	}
 	if err != nil {
 		return err
@@ -150,24 +142,22 @@ func (u *Update) write(ctx context.Context, op *saveOp, setID string, req SaveRe
 // saveDerived persists only the parameters whose hashes changed
 // relative to the base set. preMeta runs just before the metadata
 // document — the set's commit record — is written.
-func (u *Update) saveDerived(ctx context.Context, op *saveOp, setID string, req SaveRequest, hashes [][]string, depth int, preMeta func() error) error {
-	var baseHashes hashDoc
-	if err := u.stores.Docs.Get(updateHashCollection, req.Base, &baseHashes); err != nil {
-		return fmt.Errorf("core: loading base hash info: %w", err)
-	}
-	if len(baseHashes.Models) != len(req.Set.Models) {
-		return fmt.Errorf("core: base hash info covers %d models, set has %d",
-			len(baseHashes.Models), len(req.Set.Models))
+func (u *Update) saveDerived(ctx context.Context, op *saveOp, setID string, req SaveRequest, hashes hashTable, baseMeta setMeta, preMeta func(*setMeta) error) error {
+	// checkBase pinned architecture and model count, so base hash info
+	// of any other shape is corrupt, not "everything changed".
+	baseHashes, err := u.loadHashes(baseMeta, hashes.p)
+	if err != nil {
+		return fmt.Errorf("core: base %q: %w", req.Base, err)
 	}
 
 	var entries []diffEntry
 	changedPerModel := map[int][]int{}
 	for m := range req.Set.Models {
-		changed := hashing.DiffKeys(baseHashes.Models[m], hashes[m])
+		changed := hashing.DiffKeys(baseHashes.row(m), hashes.row(m))
 		if u.ModelGranularity && len(changed) > 0 {
 			// Any change saves the whole model (the ablated variant).
 			changed = changed[:0]
-			for p := range hashes[m] {
+			for p := 0; p < hashes.p; p++ {
 				changed = append(changed, p)
 			}
 		}
@@ -204,7 +194,7 @@ func (u *Update) saveDerived(ctx context.Context, op *saveOp, setID string, req 
 		offs[k+1] = offs[k] + 4*req.Set.Models[e.M].Params()[e.P].Tensor.Len()
 	}
 	blob := make([]byte, offs[len(entries)])
-	err := pool.Run(ctx, u.workers, len(entries), func(k int) error {
+	err = pool.Run(ctx, u.workers, len(entries), func(k int) error {
 		e := entries[k]
 		dst := blob[offs[k]:offs[k]:offs[k+1]]
 		cur := req.Set.Models[e.M].Params()[e.P].Tensor
@@ -269,13 +259,11 @@ func (u *Update) saveDerived(ctx context.Context, op *saveOp, setID string, req 
 	if err := op.insertDoc(updateDiffCollection, setID, doc); err != nil {
 		return fmt.Errorf("core: writing diff list: %w", err)
 	}
-	if preMeta != nil {
-		if err := preMeta(); err != nil {
-			return err
-		}
-	}
 	meta := op.newMeta(u.Name(), setID, req)
-	meta.Kind, meta.Base, meta.Depth = "derived", req.Base, depth
+	meta.Kind, meta.Base, meta.Depth = "derived", req.Base, baseMeta.Depth+1
+	if err := preMeta(&meta); err != nil {
+		return err
+	}
 	if err := op.insertDoc(updateCollection, setID, meta); err != nil {
 		return fmt.Errorf("core: writing metadata: %w", err)
 	}
@@ -291,9 +279,9 @@ func (u *Update) apply(ctx context.Context, meta setMeta, set *ModelSet) error {
 	if err := u.stores.Docs.Get(updateDiffCollection, setID, &diff); err != nil {
 		return fmt.Errorf("core: loading diff list: %w", err)
 	}
-	var stored hashDoc
-	if err := u.stores.Docs.Get(updateHashCollection, setID, &stored); err != nil {
-		return fmt.Errorf("core: loading hash info: %w", err)
+	stored, err := u.loadHashes(meta, len(set.Arch.ParamKeys()))
+	if err != nil {
+		return err
 	}
 
 	// Validate the diff list and precompute every entry's blob offset
@@ -349,12 +337,9 @@ func (u *Update) apply(ctx context.Context, meta setMeta, set *ModelSet) error {
 			return fmt.Errorf("core: applying diff for model %d param %d: %w", e.M, e.P, err)
 		}
 		// Integrity check: the applied layer must hash to what the save
-		// recorded for this set. A hash document that does not cover the
-		// entry would silently disable the check, so it is corruption.
-		if e.M >= len(stored.Models) || e.P >= len(stored.Models[e.M]) {
-			return fmt.Errorf("core: hash info does not cover model %d param %d: %w", e.M, e.P, ErrCorruptBlob)
-		}
-		if got := hashing.Tensor(t); got != stored.Models[e.M][e.P] {
+		// recorded for this set (loadHashes made sure the table covers
+		// every entry the diff list can validly name).
+		if got := hashing.Tensor(t); !bytes.Equal(got[:], stored.at(e.M, e.P)) {
 			return fmt.Errorf("core: model %d param %d hash mismatch after applying diff: %w", e.M, e.P, ErrCorruptBlob)
 		}
 		return nil
@@ -387,16 +372,21 @@ func (u *Update) ChainDepth(setID string) (int, error) {
 	return meta.Depth, err
 }
 
-// setHashes hashes every model's layers. Hashing is the save path's
-// compute-heavy step and parallelizes per model.
-func setHashes(ctx context.Context, set *ModelSet, workers int) ([][]string, error) {
-	out := make([][]string, len(set.Models))
+// setHashes hashes every model's layers into the set's hash table.
+// Hashing is the save path's compute-heavy step and parallelizes per
+// model: workers fill disjoint rows.
+func setHashes(ctx context.Context, set *ModelSet, workers int) (hashTable, error) {
+	t := newHashTable(len(set.Models), len(set.Arch.ParamKeys()))
 	err := pool.Run(ctx, workers, len(set.Models), func(i int) error {
-		out[i] = hashing.ModelList(set.Models[i])
+		row := hashing.ModelList(set.Models[i])
+		if len(row) != len(t.row(i)) {
+			return fmt.Errorf("core: model %d has %d parameter tensors, its architecture names %d", i, len(row)/hashing.Size, t.p)
+		}
+		copy(t.row(i), row)
 		return nil
 	})
 	if err != nil {
-		return nil, err
+		return hashTable{}, err
 	}
-	return out, nil
+	return t, nil
 }

@@ -88,20 +88,29 @@ func (b *approachBase) verifySet(meta setMeta) []Issue {
 // are self-describing; existence is all there is to check.
 func (m *MMlibBase) verifySet(setMeta) []Issue { return nil }
 
-// verifySet implements approachImpl for Update: hash documents must
-// cover every model, and a raw diff blob must have exactly the size
-// its diff list implies.
+// verifySet implements approachImpl for Update: the hash info must
+// cover every model — a table by its header, which must also agree
+// with the blob's size; a legacy document once decoded — and a raw
+// diff blob must have exactly the size its diff list implies.
 func (u *Update) verifySet(meta setMeta) []Issue {
 	id := meta.SetID
 	var issues []Issue
-	var hashes hashDoc
-	if err := u.stores.Docs.Get(updateHashCollection, id, &hashes); err != nil {
-		if !backend.IsNotFound(err) {
-			issues = append(issues, Issue{id, "hash document unreadable"})
-		}
-	} else if len(hashes.Models) != meta.NumModels {
+	var n int
+	var err error
+	if meta.HashTable {
+		n, _, err = u.hashTableShape(id)
+	} else {
+		var t hashTable
+		t, err = u.legacyHashes(id)
+		n = t.n
+	}
+	switch {
+	case backend.IsNotFound(err): // reported missing by the existence check
+	case err != nil:
+		issues = append(issues, Issue{id, "hash info unreadable: " + err.Error()})
+	case n != meta.NumModels:
 		issues = append(issues, Issue{id,
-			fmt.Sprintf("hash document covers %d models, want %d", len(hashes.Models), meta.NumModels)})
+			fmt.Sprintf("hash info covers %d models, want %d", n, meta.NumModels)})
 	}
 	if meta.Kind == "full" {
 		return append(issues, u.approachBase.verifySet(meta)...)

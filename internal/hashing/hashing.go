@@ -9,64 +9,69 @@
 // little-endian float32 bytes makes hash equality imply bit equality
 // for practical purposes, so applying diffs reproduces parameters
 // exactly.
+//
+// A hash is a raw 32-byte digest, and a model's hashes are one row of
+// P·Size bytes in parameter order — the unit Update's per-set hash
+// table (core's hashes.bin) stores and addresses by offset. Digests are
+// compared as bytes and never rendered as hex. Hashing a tensor
+// serializes it through a pooled scratch buffer, so it allocates
+// nothing per tensor.
 package hashing
 
 import (
+	"bytes"
 	"crypto/sha256"
-	"encoding/hex"
+	"sync"
 
 	"github.com/mmm-go/mmm/internal/nn"
 	"github.com/mmm-go/mmm/internal/tensor"
 )
 
-// HashSize is the character length of one layer hash as stored: a full
-// hex-encoded SHA-256, matching the storage profile of the paper's
-// Update approach (its per-layer "hash info" is the dominant part of
-// the U3 hash documents).
-const HashSize = 64
+// Size is the byte length of one layer hash: a raw SHA-256 digest.
+const Size = sha256.Size
+
+// Digest is one layer hash.
+type Digest = [Size]byte
+
+// scratch holds serialization buffers between Tensor calls.
+var scratch = sync.Pool{New: func() any { return new([]byte) }}
 
 // Tensor returns the hash of a parameter tensor's raw bytes.
-func Tensor(t *tensor.Tensor) string {
-	sum := sha256.Sum256(t.Bytes())
-	return hex.EncodeToString(sum[:])
+func Tensor(t *tensor.Tensor) Digest {
+	buf := scratch.Get().(*[]byte)
+	*buf = t.AppendBytes((*buf)[:0])
+	sum := sha256.Sum256(*buf)
+	scratch.Put(buf)
+	return sum
 }
 
-// Model returns the hash of every parameter tensor of m, in parameter
-// dictionary order, keyed by dictionary key.
-func Model(m *nn.Model) map[string]string {
-	out := make(map[string]string)
-	for _, p := range m.Params() {
-		out[p.Name] = Tensor(p.Tensor)
-	}
-	return out
-}
-
-// ModelList returns the hashes of m's parameters as a slice aligned
-// with the architecture's ParamKeys order. Slices serialize smaller
-// than maps and preserve order.
-func ModelList(m *nn.Model) []string {
+// ModelList returns the hashes of m's parameters as one row: P digests
+// back to back, aligned with the architecture's ParamKeys order.
+func ModelList(m *nn.Model) []byte {
 	params := m.Params()
-	out := make([]string, len(params))
-	for i, p := range params {
-		out[i] = Tensor(p.Tensor)
+	row := make([]byte, 0, len(params)*Size)
+	for _, p := range params {
+		sum := Tensor(p.Tensor)
+		row = append(row, sum[:]...)
 	}
-	return out
+	return row
 }
 
-// DiffKeys compares two aligned hash slices and returns the indices
-// that differ. A length mismatch reports every index as changed.
-func DiffKeys(prev, cur []string) []int {
+// DiffKeys compares two rows of the same length and returns the
+// parameter indices whose digests differ. Callers establish that the
+// rows have one shape before diffing; rows of different lengths are a
+// bug in the caller.
+func DiffKeys(prev, cur []byte) []int {
 	if len(prev) != len(cur) {
-		all := make([]int, len(cur))
-		for i := range all {
-			all[i] = i
-		}
-		return all
+		panic("hashing: DiffKeys on rows of different lengths")
+	}
+	if bytes.Equal(prev, cur) {
+		return nil
 	}
 	var changed []int
-	for i := range cur {
-		if prev[i] != cur[i] {
-			changed = append(changed, i)
+	for i := 0; i+Size <= len(cur); i += Size {
+		if !bytes.Equal(prev[i:i+Size], cur[i:i+Size]) {
+			changed = append(changed, i/Size)
 		}
 	}
 	return changed

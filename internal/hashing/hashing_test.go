@@ -1,6 +1,8 @@
 package hashing
 
 import (
+	"bytes"
+	"crypto/sha256"
 	"testing"
 	"testing/quick"
 
@@ -24,35 +26,37 @@ func TestTensorHashSensitive(t *testing.T) {
 	}
 }
 
-func TestTensorHashLength(t *testing.T) {
-	h := Tensor(tensor.New(5))
-	if len(h) != HashSize {
-		t.Fatalf("hash length %d, want %d", len(h), HashSize)
+// TestTensorHashIsSHA256OfRawBytes pins the digest: stores written by
+// earlier versions recorded (in hex) exactly this value.
+func TestTensorHashIsSHA256OfRawBytes(t *testing.T) {
+	a := tensor.FromSlice([]float32{1, -2.5, 3e-7, 0}, 4)
+	if got, want := Tensor(a), sha256.Sum256(a.Bytes()); got != want {
+		t.Fatalf("Tensor = %x, want SHA-256 of the raw bytes %x", got, want)
 	}
-}
-
-func TestModelHashes(t *testing.T) {
-	m := nn.MustNewModel(nn.FFNN48(), 1)
-	hs := Model(m)
-	if len(hs) != 8 {
-		t.Fatalf("FFNN-48 has %d hashed params, want 8", len(hs))
-	}
-	if _, ok := hs["fc1.weight"]; !ok {
-		t.Fatal("missing fc1.weight hash")
+	// A pooled buffer that last held a longer tensor must not leak into
+	// the next hash.
+	big := tensor.New(64)
+	Tensor(big)
+	if got, want := Tensor(a), sha256.Sum256(a.Bytes()); got != want {
+		t.Fatalf("Tensor after a larger tensor = %x, want %x", got, want)
 	}
 }
 
 func TestModelListAlignedWithParamKeys(t *testing.T) {
 	m := nn.MustNewModel(nn.FFNN48(), 1)
-	list := ModelList(m)
+	row := ModelList(m)
 	keys := m.Arch.ParamKeys()
-	if len(list) != len(keys) {
-		t.Fatalf("list length %d, keys %d", len(list), len(keys))
+	if len(row) != len(keys)*Size {
+		t.Fatalf("row has %d bytes, want %d digests of %d", len(row), len(keys), Size)
 	}
-	byKey := Model(m)
 	for i, k := range keys {
-		if list[i] != byKey[k] {
-			t.Fatalf("list[%d] does not match hash of %s", i, k)
+		p, err := m.LayerParam(k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := Tensor(p)
+		if !bytes.Equal(row[i*Size:(i+1)*Size], want[:]) {
+			t.Fatalf("digest %d does not match hash of %s", i, k)
 		}
 	}
 }
@@ -83,11 +87,16 @@ func TestDiffKeysIdentical(t *testing.T) {
 	}
 }
 
-func TestDiffKeysLengthMismatch(t *testing.T) {
-	d := DiffKeys([]string{"a"}, []string{"x", "y", "z"})
-	if len(d) != 3 {
-		t.Fatalf("length mismatch diff = %v, want all 3 indices", d)
-	}
+// TestDiffKeysLengthMismatchPanics: a shape disagreement used to be
+// reported as "every layer changed", which let a damaged base hash
+// record produce a full-size diff; callers now check shapes first.
+func TestDiffKeysLengthMismatchPanics(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("DiffKeys accepted rows of different lengths")
+		}
+	}()
+	DiffKeys(make([]byte, Size), make([]byte, 3*Size))
 }
 
 func TestQuickHashDeterministic(t *testing.T) {
@@ -100,5 +109,33 @@ func TestQuickHashDeterministic(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+var sinkRow []byte
+
+// BenchmarkModelList hashes one FFNN-48 model per iteration — the unit
+// Update's save path runs per model. Beyond throughput it asserts the
+// allocation profile: hashing a tensor allocates nothing, so a model
+// costs its parameter listing plus the one row returned, however large
+// its tensors are.
+func BenchmarkModelList(b *testing.B) {
+	m := nn.MustNewModel(nn.FFNN48(), 1)
+	ModelList(m) // fill the scratch pool
+
+	p := m.Params()[0].Tensor
+	if n := testing.AllocsPerRun(100, func() { Tensor(p) }); n != 0 {
+		b.Fatalf("Tensor allocates %v times per call, want 0", n)
+	}
+	listing := testing.AllocsPerRun(100, func() { m.Params() })
+	if n := testing.AllocsPerRun(100, func() { sinkRow = ModelList(m) }); n > listing+1 {
+		b.Fatalf("ModelList allocates %v times per model, want at most %v (parameter listing + the row)", n, listing+1)
+	}
+
+	b.SetBytes(int64(4 * m.ParamCount()))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sinkRow = ModelList(m)
 	}
 }

@@ -1,6 +1,6 @@
 // Package docstore is the document store of the model management
 // system: metadata, environment descriptions, provenance records, and
-// hash documents live here as JSON documents in named collections. It
+// diff lists live here as JSON documents in named collections. It
 // plays the role MongoDB plays for MMlib.
 //
 // Like the blob store it is instrumented: per-document insert/read
@@ -114,13 +114,14 @@ func (s *Store) Get(collection, id string, out any) error {
 	return nil
 }
 
-// Exists reports whether a document is stored at (collection, id).
+// Exists reports whether a document is stored at (collection, id),
+// without reading it.
 func (s *Store) Exists(collection, id string) (bool, error) {
 	key, err := docKey(collection, id)
 	if err != nil {
 		return false, err
 	}
-	if _, err := s.backend.Get(key); err != nil {
+	if _, err := s.backend.Size(key); err != nil {
 		if backend.IsNotFound(err) {
 			return false, nil
 		}

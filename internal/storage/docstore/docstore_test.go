@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/mmm-go/mmm/internal/obs"
 	"github.com/mmm-go/mmm/internal/storage/backend"
 	"github.com/mmm-go/mmm/internal/storage/latency"
 )
@@ -50,6 +51,26 @@ func TestExists(t *testing.T) {
 	ok, err = s.Exists("c", "x")
 	if err != nil || !ok {
 		t.Fatalf("Exists after insert = %v, %v", ok, err)
+	}
+}
+
+// TestExistsReadsNothing: VerifyStore and Import probe documents of up
+// to a megabyte for existence; the probe must not fetch them.
+func TestExistsReadsNothing(t *testing.T) {
+	reg := obs.New()
+	s := New(backend.Instrument(backend.NewMem(), reg, "docs"), latency.CostModel{}, nil)
+	if err := s.Insert("c", "x", testDoc{Name: "a document with a body"}); err != nil {
+		t.Fatal(err)
+	}
+	read := reg.Counter(backend.MetricReadBytes, obs.L("store", "docs"))
+	if ok, err := s.Exists("c", "x"); err != nil || !ok {
+		t.Fatalf("Exists on a stored document = %v, %v", ok, err)
+	}
+	if ok, err := s.Exists("c", "missing"); err != nil || ok {
+		t.Fatalf("Exists on a missing document = %v, %v, want false, nil", ok, err)
+	}
+	if n := read.Value(); n != 0 {
+		t.Fatalf("Exists read %d bytes from the backend, want 0", n)
 	}
 }
 
