@@ -39,8 +39,7 @@ check-runs:
 # per operation; and core neither builds recipe keys nor touches the
 # cache namespace outside fsck's physical-level CAS pass.
 SEAM_FOR_FILES = internal/core/base.go internal/core/dedup.go internal/core/fsck_cas.go \
-	internal/scrub/scrub.go internal/server/service.go internal/server/pullclient.go \
-	internal/experiments/compression.go internal/experiments/serve.go
+	internal/scrub/scrub.go internal/server/service.go internal/server/pullclient.go
 check-seam:
 	@set -eu; \
 	sites=$$(grep -rn 'cas\.For(' --include='*.go' internal | grep -v '_test\.go:' || true); \
@@ -138,7 +137,6 @@ chaos-smoke:
 # crash enumeration) must hold under the race detector.
 dedup-smoke:
 	$(GO) test -race -count=1 -run 'TestDedup|TestCrashEnumerationDedup' ./internal/core
-	$(GO) test -race -count=1 -run 'TestRunDedupStorage' ./internal/experiments
 
 # Codec smoke test: every codec (raw, zlib, tensor-LZ) through the
 # real CLI against a real on-disk store — init, an update cycle,

@@ -9,18 +9,12 @@
 //	mmbench -exp storage-size       # §4.2 FFNN-69 variation
 //	mmbench -exp storage-cifar      # §4.2 CIFAR variation
 //	mmbench -exp storage-overhead   # §4.2 U1 overhead vs MMlib-base
-//	mmbench -dedup                  # physical bytes with vs without WithDedup
-//	mmbench -exp compression        # codec storage/TTS/TTR + chunk-pipeline scaling (writes BENCH_compression.json)
 //	mmbench -exp tts -setup m1      # Figure 4a
 //	mmbench -exp tts -setup server  # Figure 4b
 //	mmbench -exp ttr -setup m1      # Figure 5a
 //	mmbench -exp ttr -setup server  # Figure 5b
 //	mmbench -exp ttr-extrapolate    # §4.4 realistic-training intuition
 //	mmbench -exp accident           # selective post-accident recovery
-//	mmbench -exp serve              # hot-path serving: cold vs warm chunk cache (writes BENCH_serve.json)
-//	mmbench -exp pull               # registry pull protocol: concurrent clients, warm caches, chaos (writes BENCH_pull.json)
-//	mmbench -exp scrub              # self-healing: planted rot -> quarantine -> repair-from-peer (writes BENCH_scrub.json)
-//	mmbench -exp cluster            # replicated cluster: node kill, failover, delta rebalance (writes BENCH_cluster.json)
 //	mmbench -exp quality            # stale-vs-retrained model loss per cycle
 //	mmbench -exp ablate-snapshot    # Update snapshot-interval ablation
 //	mmbench -exp ablate-variants    # Update hash-granularity/compression
@@ -35,11 +29,9 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
 	"time"
 
 	"github.com/mmm-go/mmm/internal/core"
@@ -51,31 +43,17 @@ import (
 
 func main() {
 	var (
-		exp      = flag.String("exp", "all", "experiment to run (see package docs)")
-		n        = flag.Int("n", 1000, "number of models (paper: 5000)")
-		cycles   = flag.Int("cycles", 3, "number of U3 update cycles")
-		setup    = flag.String("setup", "m1", "hardware profile: m1, server, or zero")
-		runs     = flag.Int("runs", 5, "timing runs per measurement (median reported)")
-		mode     = flag.String("mode", "train", "update mode: train or perturb")
-		arch     = flag.String("arch", "FFNN-48", "architecture: FFNN-48, FFNN-69, CIFAR")
-		samples  = flag.Int("samples", 60, "training samples per update dataset")
-		epochs   = flag.Int("epochs", 1, "training epochs per update")
-		rate     = flag.Float64("rate", 0.10, "total update rate per cycle (half full, half partial)")
-		workers  = flag.Int("workers", 1, "save/recover concurrency (1 = paper-faithful serial timing)")
-		dedup    = flag.Bool("dedup", false, "run the dedup storage comparison (shorthand for -exp storage-dedup)")
-		benchOut = flag.String("bench-out", "BENCH_compression.json",
-			"where -exp compression writes its JSON result (empty = table only)")
-		serveOut = flag.String("serve-out", "BENCH_serve.json",
-			"where -exp serve writes its JSON result (empty = table only)")
-		cacheBytes = flag.Int64("cache-bytes", 256<<20,
-			"serving-tier chunk cache budget for -exp serve, in bytes")
-		pullClients = flag.Int("pull-clients", 200, "concurrent clients for -exp pull")
-		pullOut     = flag.String("pull-out", "BENCH_pull.json",
-			"where -exp pull writes its JSON result (empty = table only)")
-		scrubOut = flag.String("scrub-out", "BENCH_scrub.json",
-			"where -exp scrub writes its JSON result (empty = table only)")
-		clusterOut = flag.String("cluster-out", "BENCH_cluster.json",
-			"where -exp cluster writes its JSON result (empty = table only)")
+		exp     = flag.String("exp", "all", "experiment to run (see package docs)")
+		n       = flag.Int("n", 1000, "number of models (paper: 5000)")
+		cycles  = flag.Int("cycles", 3, "number of U3 update cycles")
+		setup   = flag.String("setup", "m1", "hardware profile: m1, server, or zero")
+		runs    = flag.Int("runs", 5, "timing runs per measurement (median reported)")
+		mode    = flag.String("mode", "train", "update mode: train or perturb")
+		arch    = flag.String("arch", "FFNN-48", "architecture: FFNN-48, FFNN-69, CIFAR")
+		samples = flag.Int("samples", 60, "training samples per update dataset")
+		epochs  = flag.Int("epochs", 1, "training epochs per update")
+		rate    = flag.Float64("rate", 0.10, "total update rate per cycle (half full, half partial)")
+		workers = flag.Int("workers", 1, "save/recover concurrency (1 = paper-faithful serial timing)")
 		csv     = flag.Bool("csv", false, "emit series as CSV instead of tables")
 		metrics = flag.Bool("metrics", false, "print a metrics snapshot after each experiment (suppressed under -csv)")
 	)
@@ -155,19 +133,6 @@ func main() {
 				return err
 			}
 			return emitSeries(s, *csv)
-		case "storage-dedup":
-			// The headline dedup case is a factory-cloned fleet; the
-			// independent-init run shows what repetition alone buys.
-			for _, clone := range []bool{true, false} {
-				o := opts
-				o.FactoryClone = clone
-				d, err := experiments.RunDedupStorage(o)
-				if err != nil {
-					return err
-				}
-				fmt.Print(d.Table())
-			}
-			return nil
 		case "storage-overhead":
 			rep, err := experiments.RunStorageOverhead(opts)
 			if err != nil {
@@ -197,71 +162,6 @@ func main() {
 				return err
 			}
 			fmt.Print(ext.Table())
-			return nil
-		case "compression":
-			c, err := experiments.RunCompression(opts)
-			if err != nil {
-				return err
-			}
-			fmt.Print(c.Table())
-			if *benchOut != "" {
-				if err := writeJSONAtomic(*benchOut, c); err != nil {
-					return err
-				}
-				fmt.Printf("wrote %s\n", *benchOut)
-			}
-			return nil
-		case "serve":
-			sv, err := experiments.RunServe(opts, *cacheBytes)
-			if err != nil {
-				return err
-			}
-			fmt.Print(sv.Table())
-			if *serveOut != "" {
-				if err := writeJSONAtomic(*serveOut, sv); err != nil {
-					return err
-				}
-				fmt.Printf("wrote %s\n", *serveOut)
-			}
-			return nil
-		case "pull":
-			p, err := experiments.RunPull(opts, *pullClients)
-			if err != nil {
-				return err
-			}
-			fmt.Print(p.Table())
-			if *pullOut != "" {
-				if err := writeJSONAtomic(*pullOut, p); err != nil {
-					return err
-				}
-				fmt.Printf("wrote %s\n", *pullOut)
-			}
-			return nil
-		case "scrub":
-			sc, err := experiments.RunScrub(opts)
-			if err != nil {
-				return err
-			}
-			fmt.Print(sc.Table())
-			if *scrubOut != "" {
-				if err := writeJSONAtomic(*scrubOut, sc); err != nil {
-					return err
-				}
-				fmt.Printf("wrote %s\n", *scrubOut)
-			}
-			return nil
-		case "cluster":
-			cl, err := experiments.RunCluster(opts)
-			if err != nil {
-				return err
-			}
-			fmt.Print(cl.Table())
-			if *clusterOut != "" {
-				if err := writeJSONAtomic(*clusterOut, cl); err != nil {
-					return err
-				}
-				fmt.Printf("wrote %s\n", *clusterOut)
-			}
 			return nil
 		case "ablate-snapshot":
 			o := opts
@@ -310,14 +210,11 @@ func main() {
 	}
 
 	names := []string{*exp}
-	if *dedup {
-		names = []string{"storage-dedup"}
-	} else if *exp == "all" {
+	if *exp == "all" {
 		names = []string{
 			"storage", "storage-rates", "storage-size", "storage-cifar",
-			"storage-overhead", "storage-dedup", "compression",
-			"tts", "ttr", "ttr-extrapolate",
-			"accident", "serve", "pull", "scrub", "cluster", "quality",
+			"storage-overhead", "tts", "ttr", "ttr-extrapolate",
+			"accident", "quality",
 			"ablate-snapshot", "ablate-variants", "ablate-blob-layout", "advisor",
 		}
 	}
@@ -327,34 +224,6 @@ func main() {
 			os.Exit(1)
 		}
 	}
-}
-
-// writeJSONAtomic marshals v and writes it to path via a temp file and
-// rename, so a failure mid-experiment (or mid-write) never leaves a
-// truncated half-JSON result behind — the previous file, if any, stays
-// intact until the new one is complete.
-func writeJSONAtomic(path string, v any) error {
-	data, err := json.MarshalIndent(v, "", "  ")
-	if err != nil {
-		return err
-	}
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp-*")
-	if err != nil {
-		return err
-	}
-	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	if _, err := tmp.Write(append(data, '\n')); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	if err := os.Chmod(tmp.Name(), 0o644); err != nil {
-		return err
-	}
-	return os.Rename(tmp.Name(), path)
 }
 
 // emitSeries prints a series as a table or CSV.

@@ -117,9 +117,10 @@ func holders(t *testing.T, tc *testCluster, approach, setID string) []string {
 }
 
 // TestClusterSaveReplicatesAndSurvivesNodeKill is the headline
-// guarantee: every set lands on R nodes, and killing any one node
+// guarantee: every set lands on R nodes, killing any one node
 // mid-workload leaves every set byte-identically recoverable through
-// the router.
+// the router, and a keyed save that missed quorum while the dead node
+// was still listed lands exactly once when retried after its removal.
 func TestClusterSaveReplicatesAndSurvivesNodeKill(t *testing.T) {
 	ctx := context.Background()
 	tc := newCluster(t, 3, 2, RouterConfig{})
@@ -171,9 +172,69 @@ func TestClusterSaveReplicatesAndSurvivesNodeKill(t *testing.T) {
 		}
 	}
 
-	// Operator removes the dead node; rebalance restores R=2 on the
-	// survivors.
-	tc.rt.Table().Remove(tc.nodes[1].name)
+	// A keyed save owned by the dead-but-listed node-b misses quorum:
+	// 503 with Retry-After, sent once so the status is observable.
+	victim := tc.nodes[1].name
+	key, setID := "", ""
+	for i := 0; setID == ""; i++ {
+		k := fmt.Sprintf("quorum-save-%d", i)
+		for _, m := range tc.rt.Table().Owners(PlacementKey(MintID(k, ""))) {
+			if m.Name == victim {
+				key, setID = k, MintID(k, "")
+			}
+		}
+	}
+	quorumSet := clusterSet(t, 777)
+	rec := &lastResponse{}
+	once := &server.Client{BaseURL: tc.url, HTTP: &http.Client{Transport: rec},
+		Retry: &server.RetryPolicy{MaxAttempts: 1}}
+	if _, err := once.SaveWithKey(ctx, "baseline", key, quorumSet, "", nil, nil); err == nil {
+		t.Fatal("keyed save with a dead owner reached quorum")
+	}
+	if rec.status != http.StatusServiceUnavailable || rec.retryAfter == "" {
+		t.Fatalf("missed quorum answered %d, Retry-After %q; want 503 with Retry-After",
+			rec.status, rec.retryAfter)
+	}
+
+	// Operator removes the dead node. The retry under the same key
+	// lands exactly once: the minted ID, on R live nodes, byte-identical
+	// on each, and no node holds a second set for that save.
+	tc.rt.Table().Remove(victim)
+	res, err := tc.client.SaveWithKey(ctx, "baseline", key, quorumSet, "", nil, nil)
+	if err != nil {
+		t.Fatalf("retrying the keyed save after membership fix: %v", err)
+	}
+	if res.SetID != setID {
+		t.Fatalf("retry landed as %s, want the minted %s", res.SetID, setID)
+	}
+	holding := 0
+	for _, n := range tc.nodes {
+		if !tc.rt.Table().Usable(n.name) {
+			continue
+		}
+		ids, err := n.client.List(ctx, "baseline")
+		if err != nil {
+			t.Fatalf("listing %s: %v", n.name, err)
+		}
+		for _, id := range ids {
+			switch {
+			case id == setID:
+				holding++
+				got, err := n.client.Recover(ctx, "baseline", setID)
+				if err != nil || !quorumSet.Equal(got) {
+					t.Fatalf("retried set on %s not byte-identical (err=%v)", n.name, err)
+				}
+			case saved[id] == nil:
+				t.Fatalf("%s holds %s, a second set for the retried save", n.name, id)
+			}
+		}
+	}
+	if holding != 2 {
+		t.Fatalf("retried set %s on %d live nodes, want exactly 2", setID, holding)
+	}
+	saved[setID] = quorumSet
+
+	// Rebalance restores R=2 on the survivors.
 	rep, err := tc.rt.Rebalance(ctx)
 	if err != nil {
 		t.Fatalf("rebalance: %v", err)
@@ -211,6 +272,21 @@ func TestClusterSaveReplicatesAndSurvivesNodeKill(t *testing.T) {
 	if _, err := tc.client.Save(ctx, "baseline", clusterSet(t, 999), "", nil, nil); err != nil {
 		t.Fatalf("save after membership fix: %v", err)
 	}
+}
+
+// lastResponse is a transport that remembers the status and
+// Retry-After header of the last response it carried.
+type lastResponse struct {
+	status     int
+	retryAfter string
+}
+
+func (l *lastResponse) RoundTrip(req *http.Request) (*http.Response, error) {
+	resp, err := http.DefaultTransport.RoundTrip(req)
+	if err == nil {
+		l.status, l.retryAfter = resp.StatusCode, resp.Header.Get("Retry-After")
+	}
+	return resp, err
 }
 
 func TestClusterReadFailoverDuringPartition(t *testing.T) {

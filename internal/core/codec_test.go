@@ -140,7 +140,8 @@ func TestPreCodecStoreReadable(t *testing.T) {
 
 // TestLegacyCompressedDiffDocReadable rewrites a zlib diff document the
 // way binaries from before the codec layer wrote it — compressed:true
-// and no codec field — and recovers through it.
+// and no codec field — and recovers through it. Current writers emit
+// only the codec field.
 func TestLegacyCompressedDiffDocReadable(t *testing.T) {
 	st := NewMemStores()
 	u := NewUpdate(st, WithCodec(codec.ZlibID))
@@ -151,10 +152,11 @@ func TestLegacyCompressedDiffDocReadable(t *testing.T) {
 	if err := st.Docs.Get(updateDiffCollection, id, &diff); err != nil {
 		t.Fatal(err)
 	}
-	if !diff.Compressed {
-		t.Fatal("zlib diff document no longer carries the legacy compressed field")
+	if diff.Compressed || diff.Codec != codec.ZlibID {
+		t.Fatalf("zlib diff document written as compressed=%v codec=%q, want only codec %q",
+			diff.Compressed, diff.Codec, codec.ZlibID)
 	}
-	diff.Codec = ""
+	diff.Compressed, diff.Codec = true, ""
 	if err := st.Docs.Insert(updateDiffCollection, id, diff); err != nil {
 		t.Fatal(err)
 	}

@@ -72,9 +72,8 @@ type diffEntry struct {
 // diffDoc lists a derived set's changes and how its blob is encoded.
 type diffDoc struct {
 	Entries []diffEntry `json:"entries"`
-	// Compressed marks a zlib-encoded blob. It predates Codec and is
-	// still written alongside Codec == "zlib" so binaries from before
-	// the codec layer can read stores written by newer ones.
+	// Compressed marks a zlib-encoded blob in documents written before
+	// Codec existed. It is read, never written.
 	Compressed bool `json:"compressed,omitempty"`
 	// Delta marks the blob as XOR deltas against base values.
 	Delta bool `json:"delta,omitempty"`
@@ -249,13 +248,7 @@ func (u *Update) saveDerived(ctx context.Context, op *saveOp, setID string, req 
 	if _, err := op.put(u.layout.blobKey(setID, diffFile), blob, hints, op.dedup); err != nil {
 		return fmt.Errorf("core: writing diff blob: %w", err)
 	}
-	doc := diffDoc{
-		Entries: entries, Delta: basePartial != nil,
-		Codec: encodedWith,
-		// Old readers only know the zlib bool; keep it in sync so they
-		// can still open stores written by codec-aware binaries.
-		Compressed: encodedWith == codec.ZlibID,
-	}
+	doc := diffDoc{Entries: entries, Delta: basePartial != nil, Codec: encodedWith}
 	if err := op.insertDoc(updateDiffCollection, setID, doc); err != nil {
 		return fmt.Errorf("core: writing diff list: %w", err)
 	}

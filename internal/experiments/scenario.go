@@ -43,10 +43,6 @@ type Options struct {
 	// (core.WithConcurrency). 0 or 1 keeps the paper-faithful serial
 	// execution; results are bit-identical at any setting.
 	Workers int
-	// FactoryClone initializes the fleet from one cloned prototype
-	// (see workload.Config.FactoryClone) — the deployment pattern the
-	// dedup storage experiment targets.
-	FactoryClone bool
 }
 
 // DefaultOptions returns the paper's configuration at a reduced fleet
@@ -92,7 +88,6 @@ func (o Options) workloadConfig() (workload.Config, error) {
 	if o.Epochs > 0 {
 		cfg.Epochs = o.Epochs
 	}
-	cfg.FactoryClone = o.FactoryClone
 	return cfg, nil
 }
 
@@ -141,10 +136,8 @@ type rig struct {
 }
 
 // newRig builds one approach over fresh in-memory stores using the
-// given latency setup. With dedup set, saves write through the
-// content-addressed chunk store. extra options (e.g. core.WithCodec)
-// are appended after the rig's own.
-func newRig(setup latency.Setup, reg *dataset.Registry, workers int, name string, dedup bool, extra ...core.Option) *rig {
+// given latency setup.
+func newRig(setup latency.Setup, reg *dataset.Registry, workers int, name string) *rig {
 	if workers < 1 {
 		workers = 1
 	}
@@ -154,21 +147,17 @@ func newRig(setup latency.Setup, reg *dataset.Registry, workers int, name string
 		Blobs:    blobstore.New(backend.NewMem(), setup.Blob, clock),
 		Datasets: reg,
 	}
-	opts := []core.Option{core.WithConcurrency(workers)}
-	if dedup {
-		opts = append(opts, core.WithDedup())
-	}
-	opts = append(opts, extra...)
+	opt := core.WithConcurrency(workers)
 	r := &rig{name: name, stores: st, clock: clock}
 	switch name {
 	case "MMlib-base":
-		r.approach = core.NewMMlibBase(st, opts...)
+		r.approach = core.NewMMlibBase(st, opt)
 	case "Baseline":
-		r.approach = core.NewBaseline(st, opts...)
+		r.approach = core.NewBaseline(st, opt)
 	case "Update":
-		r.approach = core.NewUpdate(st, opts...)
+		r.approach = core.NewUpdate(st, opt)
 	case "Provenance":
-		r.approach = core.NewProvenance(st, opts...)
+		r.approach = core.NewProvenance(st, opt)
 	default:
 		panic(fmt.Sprintf("experiments: unknown approach %q", name))
 	}
@@ -180,7 +169,7 @@ func newRig(setup latency.Setup, reg *dataset.Registry, workers int, name string
 func newRigs(setup latency.Setup, reg *dataset.Registry, workers int) []*rig {
 	rigs := make([]*rig, len(ApproachOrder))
 	for i, name := range ApproachOrder {
-		rigs[i] = newRig(setup, reg, workers, name, false)
+		rigs[i] = newRig(setup, reg, workers, name)
 	}
 	return rigs
 }

@@ -2,6 +2,8 @@ package cas
 
 import (
 	"bytes"
+	"runtime"
+	"sync/atomic"
 	"testing"
 
 	"github.com/mmm-go/mmm/internal/codec"
@@ -20,10 +22,31 @@ func pipelineBlob(n int) []byte {
 	return blob
 }
 
+// overlapBackend counts the Puts in flight and records their peak. A
+// Put that finds itself alone yields the processor a bounded number of
+// times first, so callers able to overlap their writes reliably do —
+// without sleeps — while a serial caller still sees a peak of exactly 1.
+type overlapBackend struct {
+	backend.Backend
+	inflight, peak atomic.Int64
+}
+
+func (o *overlapBackend) Put(key string, data []byte) error {
+	n := o.inflight.Add(1)
+	defer o.inflight.Add(-1)
+	for p := o.peak.Load(); n > p && !o.peak.CompareAndSwap(p, n); p = o.peak.Load() {
+	}
+	for i := 0; i < 1000 && o.peak.Load() < 2; i++ {
+		runtime.Gosched()
+	}
+	return o.Backend.Put(key, data)
+}
+
 // TestPutEncodedParallelIdentical pins the fan-out contract: the bytes
 // a parallel encode+write pipeline stores are identical to a serial
 // run's, chunk for chunk, so concurrency can never change what lands
-// on disk.
+// on disk — and the parallel run really overlaps its chunk writes
+// while the serial one never does.
 func TestPutEncodedParallelIdentical(t *testing.T) {
 	zlib, err := codec.Lookup(codec.ZlibID)
 	if err != nil {
@@ -32,10 +55,14 @@ func TestPutEncodedParallelIdentical(t *testing.T) {
 	blob := pipelineBlob(32)
 	stores := map[int]*blobstore.Store{}
 	for _, w := range []int{1, 8} {
-		b := blobstore.NewMem()
+		counted := &overlapBackend{Backend: backend.NewMem()}
+		b := blobstore.New(counted, latency.CostModel{}, nil)
 		if _, err := For(b).PutEncoded("k", blob, 4096, Hints{},
 			Encoding{Codec: zlib, Workers: w}, nil); err != nil {
 			t.Fatalf("PutEncoded at %d workers: %v", w, err)
+		}
+		if peak := counted.peak.Load(); w == 1 && peak != 1 || w > 1 && peak < 2 {
+			t.Fatalf("peak in-flight Puts at %d workers = %d; want 1 serial, >= 2 parallel", w, peak)
 		}
 		got, err := For(b).Get("k")
 		if err != nil || !bytes.Equal(got, blob) {
