@@ -177,15 +177,16 @@ pull-smoke:
 	$(GO) build -race -o "$$tmp/mmserve" ./cmd/mmserve; \
 	"$$tmp/mmserve" -dir "$$tmp/store" -dedup -addr 127.0.0.1:18473 \
 		-chaos-seed 7 -chaos-max-faults 6 >/dev/null 2>&1 & srv=$$!; \
-	$(GO) run -race ./cmd/mmstore init -server http://127.0.0.1:18473 \
-		-approach baseline -n 6 >/dev/null; \
+	id=$$($(GO) run -race ./cmd/mmstore init -server http://127.0.0.1:18473 \
+		-approach baseline -n 6 | sed -n 's/^saved initial set \([^:]*\):.*/\1/p'); \
+	test -n "$$id" || { echo "pull-smoke FAILED: init reported no set ID"; exit 1; }; \
 	$(GO) run -race ./cmd/mmstore recover -server http://127.0.0.1:18473 \
-		-approach baseline -set bl-000001 -pull-cache "$$tmp/cache" >/dev/null; \
+		-approach baseline -set "$$id" -pull-cache "$$tmp/cache" >/dev/null; \
 	chunks=$$(find "$$tmp/cache/cas/chunks" -type f | wc -l); \
 	test "$$chunks" -ge 1 || { \
 		echo "pull-smoke FAILED: cold pull left no chunks in the cache"; exit 1; }; \
 	$(GO) run -race ./cmd/mmstore recover -server http://127.0.0.1:18473 \
-		-approach baseline -set bl-000001 -pull-cache "$$tmp/cache" >/dev/null; \
+		-approach baseline -set "$$id" -pull-cache "$$tmp/cache" >/dev/null; \
 	echo "pull-smoke OK: chunk-wise recovery through a chaotic listener, $$chunks chunks cached"
 
 # Self-healing smoke test through the real CLI and real on-disk

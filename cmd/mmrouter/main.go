@@ -14,8 +14,8 @@
 // reshuffles placement.
 //
 // Writes fan out to all R owners of the set and acknowledge once W
-// (default: majority) committed; replicas execute under one shared
-// idempotency key and a router-minted deterministic set ID, so retries
+// (default: majority) committed; replicas save under one set ID the
+// router mints deterministically from the idempotency key, so retries
 // are exactly-once and every replica stores the set under the same
 // name. Reads try the owners in ring order and fail over past dead
 // nodes. POST /api/cluster/rebalance re-replicates after membership

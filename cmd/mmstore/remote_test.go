@@ -18,14 +18,30 @@ func TestRemoteLifecycle(t *testing.T) {
 		return run(context.Background(), full)
 	}
 
+	// A remote init is a keyed save, stored under the ID the server
+	// derives from its key: read it back from the listing.
+	client := &mmm.ManagementClient{BaseURL: ts.URL}
+	sets := func(want int) []string {
+		t.Helper()
+		ids, err := client.List(context.Background(), "baseline")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(ids) != want {
+			t.Fatalf("sets = %v, want %d", ids, want)
+		}
+		return ids
+	}
+
 	if err := remote("init", "-n", "6"); err != nil {
 		t.Fatal(err)
 	}
+	first := sets(1)[0]
 	for _, args := range [][]string{
 		{"list"},
-		{"inspect", "-set", "bl-000001"},
-		{"recover", "-set", "bl-000001"},
-		{"recover", "-set", "bl-000001", "-partial"},
+		{"inspect", "-set", first},
+		{"recover", "-set", first},
+		{"recover", "-set", first, "-partial"},
 		{"verify"},
 		{"fsck"},
 	} {
@@ -39,12 +55,16 @@ func TestRemoteLifecycle(t *testing.T) {
 	if err := remote("init", "-n", "6"); err != nil {
 		t.Fatal(err)
 	}
-	if err := remote("recover", "-set", "bl-000002", "-verify-against", "bl-000001"); err != nil {
+	second := sets(2)[0]
+	if second == first {
+		second = sets(2)[1]
+	}
+	if err := remote("recover", "-set", second, "-verify-against", first); err != nil {
 		t.Fatal(err)
 	}
 
 	// Commands that need raw store access refuse remote mode.
-	if err := remote("cycle", "-base", "bl-000001"); err == nil ||
+	if err := remote("cycle", "-base", first); err == nil ||
 		!strings.Contains(err.Error(), "direct store access") {
 		t.Fatalf("remote cycle: err = %v, want a direct-store-access refusal", err)
 	}

@@ -1,8 +1,8 @@
 // Package cluster scales multi-model management horizontally: a
 // consistent-hash ring places every model set (and, through it, the
 // set's CAS chunks) on R of N mmserve nodes, and a stateless router
-// fans client operations out to the owners — quorum writes with the
-// idempotency journal providing exactly-once across replicas, reads
+// fans client operations out to the owners — quorum writes under one
+// minted set ID that each replica stores exactly once, reads
 // served by any live replica with automatic failover, and rebalancing
 // after membership changes that moves only the chunk bytes a
 // destination is missing (the pull protocol's cache diff doubles as

@@ -195,8 +195,10 @@ func TestMintIDAndPlacementKeyColocate(t *testing.T) {
 	if err := core.ValidateSetID(derived); err != nil {
 		t.Fatalf("derived ID %q invalid: %v", derived, err)
 	}
-	if !strings.HasPrefix(derived, root+"-d") {
-		t.Fatalf("derived ID %q does not extend base %q", derived, root)
+	// A derived ID names its base's group, not the whole base: a fixed
+	// 33 bytes, which at depth 1 still reads as the base plus a suffix.
+	if len(derived) > 33 || !strings.HasPrefix(derived, root+"-d") {
+		t.Fatalf("derived ID %q does not share base %q's group in 33 bytes", derived, root)
 	}
 
 	// Root and derived share a placement key → same owners → lineage
@@ -206,8 +208,8 @@ func TestMintIDAndPlacementKeyColocate(t *testing.T) {
 			PlacementKey(root), PlacementKey(derived))
 	}
 	grand := MintID("router-ghi789", derived)
-	if PlacementKey(grand) != PlacementKey(root) {
-		t.Fatal("grandchild left the placement group")
+	if PlacementKey(grand) != PlacementKey(root) || len(grand) > 33 {
+		t.Fatalf("grandchild %q left the placement group or grew past 33 bytes", grand)
 	}
 
 	// Foreign IDs (no group token) still get a stable key.

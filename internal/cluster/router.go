@@ -307,8 +307,7 @@ func peekManifest(contentType string, body []byte) (*server.Manifest, error) {
 }
 
 // freshKey mints an idempotency key for clients that sent none: the
-// router needs one to derive the replicated set ID and to make its own
-// fan-out retries exactly-once.
+// router derives the replicated set ID from it.
 func freshKey() string {
 	var b [16]byte
 	if _, err := rand.Read(b[:]); err != nil {
@@ -318,10 +317,10 @@ func freshKey() string {
 }
 
 // handleSave fans a save out to all R owners of the minted set ID and
-// acks once W of them committed. Every replica executes under the same
-// idempotency key and explicit set ID, so the save lands exactly once
-// per node under one cluster-wide name no matter how often the client
-// or the router retries.
+// acks once W of them committed. Every replica saves under the same
+// explicit set ID, so the save lands exactly once per node under one
+// cluster-wide name no matter how often the client or the router
+// retries.
 func (rt *Router) handleSave(w http.ResponseWriter, r *http.Request) {
 	approach := r.PathValue("approach")
 	body, err := io.ReadAll(r.Body)
@@ -367,7 +366,7 @@ func (rt *Router) handleSave(w http.ResponseWriter, r *http.Request) {
 		wg.Add(1)
 		go func(i int, m Member) {
 			defer wg.Done()
-			acks[i].res, acks[i].err = rt.saveOn(r, m, approach, key, setID, body)
+			acks[i].res, acks[i].err = rt.saveOn(r, m, approach, setID, body)
 			if acks[i].err != nil {
 				rt.noteNodeError(m)
 			}
@@ -403,17 +402,16 @@ func (rt *Router) handleSave(w http.ResponseWriter, r *http.Request) {
 }
 
 // saveOn replays the buffered save body onto one owner. A set_exists
-// conflict counts as success: the replica already holds this exact
-// logical save under the minted ID (the journal entry was lost but the
-// data was not).
-func (rt *Router) saveOn(r *http.Request, m Member, approach, key, setID string, body []byte) (core.SaveResult, error) {
+// conflict counts as success: the replica has committed this exact
+// logical save under the minted ID, and a replay writes nothing. A set
+// the replica is still writing answers 503, which is not an ack.
+func (rt *Router) saveOn(r *http.Request, m Member, approach, setID string, body []byte) (core.SaveResult, error) {
 	req, err := http.NewRequestWithContext(r.Context(), http.MethodPost,
 		m.URL+"/api/"+approach+"/sets", bytes.NewReader(body))
 	if err != nil {
 		return core.SaveResult{}, err
 	}
 	req.Header.Set("Content-Type", r.Header.Get("Content-Type"))
-	req.Header.Set(server.IdempotencyKeyHeader, key)
 	req.Header.Set(server.SetIDHeader, setID)
 	resp, err := rt.httpc.Do(req)
 	if err != nil {

@@ -348,12 +348,12 @@ func TestRouterGateMetricsAndBodyCap(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, want := range []string{
-		`mmm_http_requests_total{`,                     // per-route middleware ran
-		`route="POST /api/{approach}/sets"`,            // routed save has its own series
-		`route="GET /api/cas/recipe/{approach}/{id}"`,  // and the proxied pull-read
-		`mmm_http_request_seconds`,                     // latency histogram present
-		`mmm_router_saves_total{outcome="ok"}`,         // router-specific series
-		`mmm_router_node_up{`,                          // probe gauge registered
+		`mmm_http_requests_total{`,                    // per-route middleware ran
+		`route="POST /api/{approach}/sets"`,           // routed save has its own series
+		`route="GET /api/cas/recipe/{approach}/{id}"`, // and the proxied pull-read
+		`mmm_http_request_seconds`,                    // latency histogram present
+		`mmm_router_saves_total{outcome="ok"}`,        // router-specific series
+		`mmm_router_node_up{`,                         // probe gauge registered
 	} {
 		if !strings.Contains(text, want) {
 			t.Fatalf("router /metrics missing %q\n---\n%s", want, text)
@@ -658,5 +658,56 @@ func TestRouterLineageColocation(t *testing.T) {
 	got, err := tc.client.Recover(ctx, "baseline", derRes.SetID)
 	if err != nil || !derived.Equal(got) {
 		t.Fatalf("derived set wrong through router (err=%v)", err)
+	}
+}
+
+// TestRouterDeepLineageStaysPlaced saves a keyed chain twelve
+// derivations deep through the router — every minted ID must stay a
+// valid, fixed-length set ID in its root's placement group, and every
+// depth must recover bit-exactly — and derives sets from client-chosen
+// base IDs, which carry no group token: each must land on exactly its
+// base's owners.
+func TestRouterDeepLineageStaysPlaced(t *testing.T) {
+	ctx := context.Background()
+	tc := newCluster(t, 3, 2, RouterConfig{})
+
+	set := clusterSet(t, 21)
+	var ids []string
+	var want []*core.ModelSet
+	for depth := 0; depth <= 12; depth++ {
+		base := ""
+		if depth > 0 {
+			base = ids[depth-1]
+			set.Models[depth%set.Len()].Params()[0].Tensor.Data[0] += 0.5
+		}
+		res, err := tc.client.SaveWithKey(ctx, "baseline", fmt.Sprintf("chain-%d", depth), set, base, nil, nil)
+		if err != nil {
+			t.Fatalf("depth %d: %v", depth, err)
+		}
+		ids = append(ids, res.SetID)
+		want = append(want, set.Clone())
+		if len(res.SetID) > 33 || PlacementKey(res.SetID) != PlacementKey(ids[0]) {
+			t.Fatalf("depth %d: minted %q left its root's group or grew past 33 bytes", depth, res.SetID)
+		}
+	}
+	for depth, id := range ids {
+		got, err := tc.client.Recover(ctx, "baseline", id)
+		if err != nil || !want[depth].Equal(got) {
+			t.Fatalf("depth %d (%s) wrong through router (err=%v)", depth, id, err)
+		}
+	}
+
+	for i, id := range []string{"client-base-1", "client-base-2", "client-base-3"} {
+		explicit := clusterSet(t, uint64(30+i))
+		if _, err := tc.client.SaveAs(ctx, "baseline", id, explicit, "", nil, nil); err != nil {
+			t.Fatal(err)
+		}
+		derived, err := tc.client.SaveWithKey(ctx, "baseline", "derive-"+id, clusterSet(t, uint64(40+i)), id, nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if b, d := holders(t, tc, "baseline", id), holders(t, tc, "baseline", derived.SetID); fmt.Sprint(b) != fmt.Sprint(d) {
+			t.Fatalf("set %s derived from %s: on %v, base on %v", derived.SetID, id, d, b)
+		}
 	}
 }

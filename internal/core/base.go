@@ -104,7 +104,7 @@ func (b *approachBase) ownMeta(setID string) (setMeta, error) {
 	return meta, nil
 }
 
-// SaveContext implements Approach: allocate the set ID, hand the
+// SaveContext implements Approach: claim the set ID, hand the
 // approach a saveOp to write through, and roll back on failure.
 func (b *approachBase) SaveContext(ctx context.Context, req SaveRequest) (SaveResult, error) {
 	sp := b.metrics.begin("save", "")
@@ -121,14 +121,11 @@ func (b *approachBase) save(ctx context.Context, req SaveRequest, sp *obs.Span) 
 	if err := ctx.Err(); err != nil {
 		return SaveResult{}, err
 	}
-	existing, err := b.SetIDs()
+	setID, err := chooseSetID(req, &b.ids, b.SetIDs)
 	if err != nil {
 		return SaveResult{}, err
 	}
-	setID, err := chooseSetID(req, &b.ids, existing)
-	if err != nil {
-		return SaveResult{}, err
-	}
+	defer b.ids.release(setID)
 	cdc, err := resolveCodec(b.codec)
 	if err != nil {
 		return SaveResult{}, err

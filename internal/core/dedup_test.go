@@ -2,8 +2,11 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
+	"errors"
+	"sync"
 	"testing"
 
 	"github.com/mmm-go/mmm/internal/nn"
@@ -133,6 +136,49 @@ func TestDedupReducesPhysicalBytesAllApproaches(t *testing.T) {
 				t.Fatalf("dedup store not fsck-clean after workload:\n%v", report.Issues)
 			}
 		})
+	}
+}
+
+// TestDedupConcurrentSaveSameSetID races saves under one explicit set
+// ID: exactly one may write the set, the rest must fail with
+// ErrSetExists without taking a single chunk reference — a second
+// writer would leave refcounts the surviving recipes do not imply.
+func TestDedupConcurrentSaveSameSetID(t *testing.T) {
+	st, _, _ := rawStores()
+	a := NewBaseline(st, WithDedup(), WithConcurrency(1))
+	set := factoryFleet(t, nn.FFNN48(), 4)
+	const writers = 8
+	errs := make([]error, writers)
+	var wg sync.WaitGroup
+	for i := range errs {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			_, errs[i] = a.SaveContext(context.Background(), SaveRequest{Set: set, SetID: "shared-id"})
+		}(i)
+	}
+	wg.Wait()
+	won := 0
+	for _, err := range errs {
+		switch {
+		case err == nil:
+			won++
+		case !errors.Is(err, ErrSetExists):
+			t.Fatalf("losing save: err = %v, want ErrSetExists", err)
+		}
+	}
+	if won != 1 {
+		t.Fatalf("%d of %d concurrent saves of one set ID succeeded, want 1", won, writers)
+	}
+	report, err := Fsck(st, FsckOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !report.Clean() {
+		t.Fatalf("store not fsck-clean after racing saves:\n%v", report.Issues)
+	}
+	if !mustRecover(t, a, "shared-id").Equal(set) {
+		t.Fatal("racing saves: shared-id not bit-identical")
 	}
 }
 

@@ -50,7 +50,8 @@ var (
 	ErrNoSpace = errors.New("core: storage out of space")
 
 	// ErrSetExists reports an explicit-ID save (SaveRequest.SetID)
-	// whose ID is already taken in the approach's namespace. Set IDs
+	// whose ID is already taken in the approach's namespace: stored, or
+	// claimed by a save of the same approach still in flight. Set IDs
 	// are immutable once written — replication relies on "present means
 	// complete" — so the save is rejected rather than overwriting.
 	ErrSetExists = errors.New("core: set already exists")

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -21,37 +22,76 @@ import (
 // optimization O1.
 type setMeta = SetInfo
 
-// idAllocator hands out sequential set IDs per approach. Every
-// allocation resumes above the largest sequence number among the IDs
-// already stored — not their count, which shrinks when sets are
-// pruned — so a reopened store is never handed the ID of a live set:
-// any stored ID equal to the candidate would have parsed to the
-// candidate's number and pushed the counter past it. The counter only
-// moves forward, which keeps concurrent saves that listed the same
-// existing IDs apart.
+// idAllocator hands out sequential set IDs per approach and holds the
+// ID of every save in flight claimed until that save commits or rolls
+// back. Every allocation resumes above the largest sequence number
+// among the IDs already stored — not their count, which shrinks when
+// sets are pruned — so a reopened store is never handed the ID of a
+// live set: any stored ID equal to the candidate would have parsed to
+// the candidate's number and pushed the counter past it. The counter
+// only moves forward, which keeps concurrent saves that listed the
+// same existing IDs apart; claimed explicit IDs push it too.
 type idAllocator struct {
-	mu     sync.Mutex
-	prefix string
-	next   int
+	mu      sync.Mutex
+	prefix  string
+	next    int
+	claimed map[string]bool
 }
 
-func (a *idAllocator) allocate(existing []string) string {
-	a.mu.Lock()
-	defer a.mu.Unlock()
+// observe moves the counter past every sequential ID among ids.
+// Callers hold a.mu.
+func (a *idAllocator) observe(ids ...string) {
 	if a.next < 1 {
 		a.next = 1
 	}
 	prefix := a.prefix + "-"
-	for _, id := range existing {
+	for _, id := range ids {
 		if seq, ok := strings.CutPrefix(id, prefix); ok {
 			if n, err := strconv.Atoi(seq); err == nil && n >= a.next {
 				a.next = n + 1
 			}
 		}
 	}
-	id := fmt.Sprintf("%s%06d", prefix, a.next)
-	a.next++
+}
+
+// allocate claims and returns the next sequential ID. No save holds
+// it: every claim moved the counter past its own ID.
+func (a *idAllocator) allocate(existing []string) string {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	a.observe(existing...)
+	id := fmt.Sprintf("%s-%06d", a.prefix, a.next)
+	a.claimLocked(id)
 	return id
+}
+
+// claim claims id for one save, reporting false if another save in
+// flight holds it.
+func (a *idAllocator) claim(id string) bool {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return a.claimLocked(id)
+}
+
+// claimLocked is claim for callers holding a.mu. A claimed sequential
+// ID moves the counter past it.
+func (a *idAllocator) claimLocked(id string) bool {
+	if a.claimed[id] {
+		return false
+	}
+	if a.claimed == nil {
+		a.claimed = map[string]bool{}
+	}
+	a.claimed[id] = true
+	a.observe(id)
+	return true
+}
+
+// release drops the claim on id once its save committed or rolled back.
+func (a *idAllocator) release(id string) {
+	a.mu.Lock()
+	delete(a.claimed, id)
+	a.mu.Unlock()
 }
 
 // ValidateSetID checks that an explicit set ID is usable as a blob and
@@ -77,19 +117,34 @@ func ValidateSetID(id string) error {
 	return nil
 }
 
-// chooseSetID resolves the ID one save will commit under: the request's
-// explicit ID when given (rejecting IDs already present — sets are
-// immutable, and replication reads "present" as "complete"), or the
-// next sequential ID otherwise. existing is the approach collection's
-// current document ID list.
-func chooseSetID(req SaveRequest, ids *idAllocator, existing []string) (string, error) {
+// chooseSetID resolves and claims the ID one save will commit under:
+// the request's explicit ID when given, or the next sequential ID
+// otherwise. An explicit ID that is stored, or claimed by a save still
+// in flight, fails with ErrSetExists — sets are immutable, and
+// replication reads "present" as "complete". list reads the approach
+// collection's document IDs. The caller releases the returned ID once
+// the save has committed or rolled back.
+func chooseSetID(req SaveRequest, ids *idAllocator, list func() ([]string, error)) (string, error) {
 	if req.SetID == "" {
+		existing, err := list()
+		if err != nil {
+			return "", err
+		}
 		return ids.allocate(existing), nil
 	}
-	for _, have := range existing {
-		if have == req.SetID {
-			return "", fmt.Errorf("core: explicit-ID save of %q: %w", req.SetID, ErrSetExists)
-		}
+	if !ids.claim(req.SetID) {
+		return "", fmt.Errorf("core: explicit-ID save of %q: claimed by a save in flight: %w", req.SetID, ErrSetExists)
+	}
+	// Listed only after claiming: a save that committed this ID kept its
+	// claim until its metadata was visible, so the claim or the listing
+	// sees it.
+	existing, err := list()
+	if err == nil && slices.Contains(existing, req.SetID) {
+		err = fmt.Errorf("core: explicit-ID save of %q: %w", req.SetID, ErrSetExists)
+	}
+	if err != nil {
+		ids.release(req.SetID)
+		return "", err
 	}
 	return req.SetID, nil
 }

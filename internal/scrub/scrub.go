@@ -50,7 +50,7 @@ const (
 )
 
 // stateCollection/stateDoc name the cursor document. The collection is
-// internal bookkeeping, like the idempotency journal — fsck's set
+// internal bookkeeping outside any approach's namespace — fsck's set
 // verification does not look at it.
 const (
 	stateCollection = "scrub_state"

@@ -194,20 +194,23 @@ func (c *Client) Save(ctx context.Context, approach string, set *core.ModelSet, 
 
 // SaveAs is Save with an explicit set ID (sent as X-Mmm-Set-Id): the
 // set lands under setID instead of a server-allocated sequential ID,
-// or fails with core.ErrSetExists if the ID is taken. Cluster
-// rebalancers and replication tooling use it; single-node clients
-// normally let the server allocate.
-func (c *Client) SaveAs(ctx context.Context, approach, setID, key string, set *core.ModelSet, base string, updates []core.ModelUpdate, train *core.TrainInfo) (core.SaveResult, error) {
+// or fails with core.ErrSetExists if a set of that ID has committed.
+// Like Save it is sent once. Replication tooling that copies a set
+// under its cluster-wide name uses it; single-node clients normally
+// let the server allocate.
+func (c *Client) SaveAs(ctx context.Context, approach, setID string, set *core.ModelSet, base string, updates []core.ModelUpdate, train *core.TrainInfo) (core.SaveResult, error) {
 	if setID == "" {
 		return core.SaveResult{}, fmt.Errorf("server: SaveAs needs a non-empty set ID")
 	}
-	return c.save(ctx, approach, key, setID, set, base, updates, train)
+	return c.save(ctx, approach, "", setID, set, base, updates, train)
 }
 
-// SaveWithKey is Save with an Idempotency-Key: the server executes the
-// save once per (approach, key) and replays the recorded result to
-// retries, so the client retries transient failures as freely as a
-// GET. Keys are client-chosen; a fresh operation needs a fresh key.
+// SaveWithKey is Save with an Idempotency-Key: the server stores the
+// set under an ID derived from the key, so the save executes once and
+// a retry of a committed save is answered as a replay that reports the
+// set ID with 0 bytes and 0 write ops. The client therefore retries
+// transient failures as freely as a GET. Keys are client-chosen; a
+// fresh operation needs a fresh key.
 func (c *Client) SaveWithKey(ctx context.Context, approach, key string, set *core.ModelSet, base string, updates []core.ModelUpdate, train *core.TrainInfo) (core.SaveResult, error) {
 	if key == "" {
 		return core.SaveResult{}, fmt.Errorf("server: SaveWithKey needs a non-empty key")

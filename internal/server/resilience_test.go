@@ -2,6 +2,8 @@ package server
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -21,6 +23,7 @@ import (
 	"github.com/mmm-go/mmm/internal/storage/blobstore"
 	"github.com/mmm-go/mmm/internal/storage/docstore"
 	"github.com/mmm-go/mmm/internal/storage/latency"
+	"github.com/mmm-go/mmm/internal/storage/sim"
 )
 
 // fastRetry keeps chaos tests quick: real backoff shapes are covered
@@ -164,7 +167,8 @@ func TestChaosSaveExactlyOnceAcrossResets(t *testing.T) {
 
 	// Attempt 1: the server processes the save fully but the response
 	// is lost — the canonical duplicate-write trap. Attempt 2: reset
-	// before the request. Attempt 3: clean, answered from the journal.
+	// before the request. Attempt 3: clean, answered as a replay of the
+	// committed set.
 	tr := netchaos.NewTransport(nil, netchaos.Config{
 		Script: []netchaos.Fault{netchaos.FaultDropResponse, netchaos.FaultReset},
 	})
@@ -198,7 +202,7 @@ func TestChaosSaveExactlyOnceAcrossResets(t *testing.T) {
 		t.Fatal("retried save lost data")
 	}
 
-	// Attempt 3 must have been a journal replay, not a re-execution.
+	// Attempt 3 must have been a replay, not a re-execution.
 	if n := serverReg.Counter(metricHTTPReplays).Value(); n != 1 {
 		t.Fatalf("%s = %d, want 1", metricHTTPReplays, n)
 	}
@@ -209,7 +213,8 @@ func TestChaosSaveExactlyOnceAcrossResets(t *testing.T) {
 
 func TestIdempotentReplayDirect(t *testing.T) {
 	ctx := context.Background()
-	c, _ := newTestRig(t)
+	reg := obs.New()
+	c, _, _ := newConfigRig(t, reg, Config{})
 	set := testSet(t, 4)
 
 	first, err := c.SaveWithKey(ctx, "baseline", "replay-key", set, "", nil, nil)
@@ -240,6 +245,132 @@ func TestIdempotentReplayDirect(t *testing.T) {
 	}
 	if _, err := c.SaveWithKey(ctx, "baseline", "", set, "", nil, nil); err == nil {
 		t.Fatal("empty idempotency key accepted")
+	}
+
+	// Concurrent attempts of one key race for one key-derived set ID:
+	// one writes it, the others wait out its claim (503 + Retry-After)
+	// or find it committed, and are answered as replays.
+	replays := reg.Counter(metricHTTPReplays).Value()
+	const attempts = 8
+	got := make([]core.SaveResult, attempts)
+	errs := make([]error, attempts)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			got[i], errs[i] = c.SaveWithKey(ctx, "baseline", "concurrent-key", set, "", nil, nil)
+		}(i)
+	}
+	wg.Wait()
+	for i := range got {
+		if errs[i] != nil {
+			t.Fatalf("concurrent attempt %d: %v", i, errs[i])
+		}
+		if got[i].SetID != got[0].SetID {
+			t.Fatalf("concurrent attempts returned %s and %s", got[0].SetID, got[i].SetID)
+		}
+	}
+	if ids, err = c.List(ctx, "baseline"); err != nil {
+		t.Fatal(err)
+	}
+	if len(ids) != 3 {
+		t.Fatalf("after 8 concurrent same-key saves: sets = %v, want 3", ids)
+	}
+	if n := reg.Counter(metricHTTPReplays).Value() - replays; n != attempts-1 {
+		t.Fatalf("concurrent same-key saves counted %d replays, want %d", n, attempts-1)
+	}
+}
+
+// TestChaosKeyedSaveCrashEnumeration crashes a keyed save at every
+// point of its mutation trace, restarts the server on the surviving
+// state, and retries the key: exactly one set must result — never a
+// second one for a save that had in fact committed — it must recover
+// bit-identically, and fsck with repair must leave the store clean.
+func TestChaosKeyedSaveCrashEnumeration(t *testing.T) {
+	ctx := context.Background()
+	const key = "crash-key"
+	set := testSet(t, 6)
+	serve := func(docs, blobs backend.Backend) (*Client, core.Stores, func()) {
+		stores := core.Stores{
+			Docs:     docstore.New(docs, latency.CostModel{}, nil),
+			Blobs:    blobstore.New(blobs, latency.CostModel{}, nil),
+			Datasets: dataset.NewRegistry(),
+		}
+		ts := httptest.NewServer(NewWithConfig(stores, obs.New(), Config{}))
+		return &Client{BaseURL: ts.URL, Retry: fastRetry()}, stores, ts.Close
+	}
+
+	world := sim.NewWorld()
+	c, _, stop := serve(world.Node("docs"), world.Node("blobs"))
+	first, err := c.SaveWithKey(ctx, "baseline", key, set, "", nil, nil)
+	stop()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	total := world.Len()
+	for n := 0; n <= total; n++ {
+		replayed := world.Replay(n)
+		c, stores, stop := serve(replayed["docs"], replayed["blobs"])
+		res, err := c.SaveWithKey(ctx, "baseline", key, set, "", nil, nil)
+		if err != nil {
+			t.Fatalf("crash at op %d/%d: retry: %v", n, total, err)
+		}
+		ids, err := c.List(ctx, "baseline")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.SetID != first.SetID || len(ids) != 1 || ids[0] != first.SetID {
+			t.Fatalf("crash at op %d/%d: retry saved %s, sets = %v, want exactly [%s]",
+				n, total, res.SetID, ids, first.SetID)
+		}
+		if got, err := c.Recover(ctx, "baseline", first.SetID); err != nil || !set.Equal(got) {
+			t.Fatalf("crash at op %d/%d: set not bit-identical (err=%v)", n, total, err)
+		}
+		if _, err := core.Fsck(stores, core.FsckOptions{Repair: true}); err != nil {
+			t.Fatalf("crash at op %d/%d: fsck repair: %v", n, total, err)
+		}
+		if report, err := core.Fsck(stores, core.FsckOptions{}); err != nil || !report.Clean() {
+			t.Fatalf("crash at op %d/%d: store dirty after repair (err=%v):\n%v", n, total, err, report)
+		}
+		stop()
+	}
+}
+
+// TestLegacyOpJournalIgnored opens a store written while servers kept
+// an op journal of keyed saves: its documents are ignored — fsck stays
+// clean, and a keyed save under a journaled key is a fresh save.
+func TestLegacyOpJournalIgnored(t *testing.T) {
+	ctx := context.Background()
+	stores := core.NewMemStores()
+	// The journal keyed its documents by SHA-256 of approach and key.
+	id := sha256.Sum256([]byte("Baseline\x00old-key"))
+	if err := stores.Docs.Insert("op_journal", hex.EncodeToString(id[:]), map[string]any{
+		"approach": "Baseline", "key": "old-key",
+		"result": core.SaveResult{SetID: "bl-000001", BytesWritten: 1, WriteOps: 1},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(New(stores))
+	t.Cleanup(ts.Close)
+	c := &Client{BaseURL: ts.URL}
+	if report, err := c.Fsck(ctx, false); err != nil || !report.Clean() {
+		t.Fatalf("store with op_journal documents not fsck-clean (err=%v): %v", err, report)
+	}
+	set := testSet(t, 4)
+	res, err := c.SaveWithKey(ctx, "baseline", "old-key", set, "", nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.BytesWritten == 0 {
+		t.Fatal("keyed save answered from the old journal")
+	}
+	if got, err := c.Recover(ctx, "baseline", res.SetID); err != nil || !set.Equal(got) {
+		t.Fatalf("keyed save on a journaled store not recoverable (err=%v)", err)
+	}
+	if report, err := c.Fsck(ctx, false); err != nil || !report.Clean() {
+		t.Fatalf("store not fsck-clean after keyed save (err=%v): %v", err, report)
 	}
 }
 

@@ -12,6 +12,8 @@
 package server
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -148,7 +150,7 @@ func NewWithConfig(stores core.Stores, reg *obs.Registry, cfg Config, opts ...co
 		Next: s.mux,
 	}
 	s.gate.Describe()
-	reg.Describe(metricHTTPReplays, "Saves answered from the idempotency journal instead of re-executing.")
+	reg.Describe(metricHTTPReplays, "Keyed saves whose set was already committed, answered without writing.")
 	s.routes()
 	return s
 }
@@ -222,9 +224,9 @@ const (
 	// save rolled back cleanly; the client may retry after the operator
 	// frees space.
 	codeNoSpace = "no_space"
-	// codeSetExists marks an explicit-ID save whose ID is already
-	// taken. For a router replaying the same logical save onto a
-	// replica this means "already replicated" — success, not failure.
+	// codeSetExists marks an explicit-ID save whose ID a committed set
+	// already holds. For a router replaying the same logical save onto
+	// a replica this means "already replicated" — success, not failure.
 	codeSetExists = "set_exists"
 )
 
@@ -344,13 +346,14 @@ func (s *Server) handleInfo(w http.ResponseWriter, r *http.Request) {
 // maxSaveBytes bounds a save request body (manifest + parameters).
 const maxSaveBytes = 1 << 31 // 2 GiB
 
-// IdempotencyKeyHeader lets a save be retried safely: two saves with
-// the same key to the same approach execute once, with the journaled
-// result replayed to later attempts.
+// IdempotencyKeyHeader lets a save be retried safely: a keyed save
+// without an explicit set ID is stored under an ID derived from the
+// key, so two saves with the same key to the same approach write one
+// set, and later attempts are answered as replays.
 const IdempotencyKeyHeader = "Idempotency-Key"
 
-// ReplayHeader marks a save response that was answered from the
-// idempotency journal instead of executing the save again.
+// ReplayHeader marks a save response that found its key's set already
+// committed and wrote nothing.
 const ReplayHeader = "Idempotent-Replay"
 
 // SetIDHeader carries an explicit set ID for a save, overriding the
@@ -360,41 +363,31 @@ const ReplayHeader = "Idempotent-Replay"
 // the multipart payload.
 const SetIDHeader = "X-Mmm-Set-Id"
 
-// setCodec looks up the codec ID a stored set was saved with, best
-// effort: "" when the approach has no lineage support or the set is
-// unknown.
-func (s *Server) setCodec(a core.Approach, id string) string {
+// setInfo reads a stored set's metadata through the approach's
+// lineage.
+func setInfo(a core.Approach, id string) (core.SetInfo, error) {
 	l, ok := a.(core.Lineager)
 	if !ok {
-		return ""
+		return core.SetInfo{}, fmt.Errorf("approach does not expose set metadata")
 	}
 	chain, err := l.Lineage(id)
-	if err != nil || len(chain) == 0 {
-		return ""
+	if err != nil {
+		return core.SetInfo{}, err
 	}
-	return chain[0].Codec
+	return chain[0], nil
+}
+
+// setCodec is the codec ID a stored set was saved with, best effort:
+// "" when its metadata cannot be read.
+func setCodec(a core.Approach, id string) string {
+	info, _ := setInfo(a, id)
+	return info.Codec
 }
 
 func (s *Server) handleSave(w http.ResponseWriter, r *http.Request) {
 	a, ok := s.approach(w, r)
 	if !ok {
 		return
-	}
-	if key := r.Header.Get(IdempotencyKeyHeader); key != "" {
-		// The per-key lock serializes concurrent retries of the same
-		// operation; the journal check catches completed ones — before
-		// the body is read, so a replay costs no parsing.
-		unlock := s.journal.lock(a.Name(), key)
-		defer unlock()
-		if res, ok, err := s.journal.completed(a.Name(), key); err != nil {
-			writeError(w, http.StatusInternalServerError, fmt.Errorf("reading op journal: %w", err))
-			return
-		} else if ok {
-			s.metrics.Counter(metricHTTPReplays).Inc()
-			w.Header().Set(ReplayHeader, "true")
-			writeJSON(w, http.StatusCreated, res)
-			return
-		}
 	}
 	mr, err := r.MultipartReader()
 	if err != nil {
@@ -451,20 +444,56 @@ func (s *Server) handleSave(w http.ResponseWriter, r *http.Request) {
 	if h := r.Header.Get(SetIDHeader); h != "" {
 		setID = h
 	}
+	keyed := setID == "" && r.Header.Get(IdempotencyKeyHeader) != ""
+	if keyed {
+		setID = keySetID(r.Header.Get(IdempotencyKeyHeader))
+	}
 	res, err := a.SaveContext(r.Context(), core.SaveRequest{
 		Set: set, Base: manifest.Base, SetID: setID,
 		Updates: manifest.Updates, Train: manifest.Train,
 	})
+	if errors.Is(err, core.ErrSetExists) {
+		s.answerTaken(w, a, setID, keyed, err)
+		return
+	}
 	if err != nil {
 		writeError(w, saveStatus(err), err)
 		return
 	}
-	if key := r.Header.Get(IdempotencyKeyHeader); key != "" {
-		// Best-effort: the set is durable either way; a failed journal
-		// write only means a retry would re-save rather than replay.
-		_ = s.journal.record(a.Name(), key, res)
-	}
 	writeJSON(w, http.StatusCreated, res)
+}
+
+// keySetID derives the ID a keyed save without an explicit ID is
+// stored under: "k" and 32 hex digits of the key's SHA-256. The set ID
+// is the only record of the save — a retry of the key finds its ID
+// taken — and having no '-' keeps it apart from the sequential
+// "<prefix>-NNNNNN" form.
+func keySetID(key string) string {
+	sum := sha256.Sum256([]byte(key))
+	return "k" + hex.EncodeToString(sum[:16])
+}
+
+// answerTaken answers a save whose set ID is taken, by what is stored.
+// A committed set is a replay for a key-derived ID — 201 with zero
+// bytes and ops, since a replay writes nothing — and 409 set_exists
+// for an explicit one. An ID only claimed by a first attempt that is
+// still writing is a 503 the client retries: no caller is ever told a
+// set exists before it has committed.
+func (s *Server) answerTaken(w http.ResponseWriter, a core.Approach, setID string, keyed bool, err error) {
+	committed, herr := s.HasSet(a, setID)
+	switch {
+	case herr != nil:
+		writeError(w, http.StatusInternalServerError, herr)
+	case !committed:
+		w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds(s.cfg.RetryAfter)))
+		writeError(w, http.StatusServiceUnavailable, fmt.Errorf("server: set %q is still being saved", setID))
+	case keyed:
+		s.metrics.Counter(metricHTTPReplays).Inc()
+		w.Header().Set(ReplayHeader, "true")
+		writeJSON(w, http.StatusCreated, core.SaveResult{SetID: setID})
+	default:
+		writeError(w, http.StatusConflict, err)
+	}
 }
 
 // bodyStatus maps a request-body read error onto an HTTP status: a
@@ -543,10 +572,14 @@ func (s *Server) handleRecover(w http.ResponseWriter, r *http.Request) {
 		} else {
 			// Degraded full recovery: resolve the set size and ask for
 			// every model, so per-model failures turn into skips.
-			indices, err = s.allIndices(a, id)
+			info, err := setInfo(a, id)
 			if err != nil {
 				writeError(w, recoverStatus(err), err)
 				return
+			}
+			indices = make([]int, info.NumModels)
+			for i := range indices {
+				indices[i] = i
 			}
 		}
 		pr, ok := a.(core.PartialRecoverer)
@@ -569,7 +602,7 @@ func (s *Server) handleRecover(w http.ResponseWriter, r *http.Request) {
 			sorted = append(sorted, idx)
 		}
 		sort.Ints(sorted)
-		manifest = RecoveryManifest{Arch: rec.Arch, NumModels: len(sorted), Indices: sorted, Codec: s.setCodec(a, id)}
+		manifest = RecoveryManifest{Arch: rec.Arch, NumModels: len(sorted), Indices: sorted, Codec: setCodec(a, id)}
 		if partial {
 			manifest.Report = &report
 		}
@@ -582,7 +615,7 @@ func (s *Server) handleRecover(w http.ResponseWriter, r *http.Request) {
 			writeError(w, recoverStatus(err), err)
 			return
 		}
-		manifest = RecoveryManifest{Arch: set.Arch, NumModels: set.Len(), Codec: s.setCodec(a, id)}
+		manifest = RecoveryManifest{Arch: set.Arch, NumModels: set.Len(), Codec: setCodec(a, id)}
 		params = setToBytes(set)
 	}
 
@@ -716,25 +749,6 @@ func (s *Server) handlePutDataset(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleListDatasets(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, s.stores.Datasets.IDs())
-}
-
-// allIndices resolves setID's model count through the approach's
-// lineage and returns [0, n) — what a degraded full recovery asks for.
-func (s *Server) allIndices(a core.Approach, setID string) ([]int, error) {
-	l, ok := a.(core.Lineager)
-	if !ok {
-		return nil, fmt.Errorf("approach does not expose set metadata")
-	}
-	chain, err := l.Lineage(setID)
-	if err != nil {
-		return nil, err
-	}
-	n := chain[0].NumModels
-	indices := make([]int, n)
-	for i := range indices {
-		indices[i] = i
-	}
-	return indices, nil
 }
 
 // parseIndices parses "1,5,42" into ints.

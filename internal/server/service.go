@@ -1,6 +1,7 @@
 package server
 
 import (
+	"slices"
 	"time"
 
 	"github.com/mmm-go/mmm/internal/core"
@@ -9,19 +10,18 @@ import (
 )
 
 // Service is the store-service layer of a node: the management
-// approaches over their stores, the idempotency journal, and the
-// save-time policy (codec, dedup) — everything about WHAT the node
-// stores, with no opinion about how requests arrive. Server wraps a
-// Service in the HTTP transport (mux routing plus the Gate
-// middleware); the cluster router proxies to remote Services over the
-// wire. The split is what lets transport-level guarantees — per-route
-// metrics, body caps, deadlines, drain — apply uniformly to local and
-// routed endpoints instead of living tangled inside one handler type.
+// approaches over their stores and the save-time policy (codec,
+// dedup) — everything about WHAT the node stores, with no opinion
+// about how requests arrive. Server wraps a Service in the HTTP
+// transport (mux routing plus the Gate middleware); the cluster router
+// proxies to remote Services over the wire. The split is what lets
+// transport-level guarantees — per-route metrics, body caps,
+// deadlines, drain — apply uniformly to local and routed endpoints
+// instead of living tangled inside one handler type.
 type Service struct {
 	stores     core.Stores
 	cas        *cas.Store // stores.Blobs' chunk layer: pull endpoints and the sync cache
 	approaches map[string]core.Approach
-	journal    *opJournal
 	codecID    string // Config.Codec: "" stores raw
 	dedup      bool   // Config.Dedup: chunk-level CAS on saves
 }
@@ -53,7 +53,6 @@ func NewService(stores core.Stores, reg *obs.Registry, cfg Config, opts ...core.
 		stores:     stores,
 		cas:        cas.For(stores.Blobs),
 		approaches: approaches,
-		journal:    newOpJournal(stores.Docs),
 		codecID:    cfg.Codec,
 		dedup:      cfg.Dedup,
 	}
@@ -95,15 +94,7 @@ func (s *Service) HasSet(a core.Approach, setID string) (bool, error) {
 		return false, nil
 	}
 	ids, err := l.SetIDs()
-	if err != nil {
-		return false, err
-	}
-	for _, id := range ids {
-		if id == setID {
-			return true, nil
-		}
-	}
-	return false, nil
+	return slices.Contains(ids, setID), err
 }
 
 // Drainer is anything with one-way drain semantics — Server and the

@@ -61,9 +61,10 @@ type SyncReport struct {
 // stay byte-identical, lineage metadata is not carried over (the
 // surviving replicas still hold it).
 //
-// Syncing is idempotent: a set already present locally (including one
-// that appeared concurrently) reports AlreadyPresent instead of
-// failing, so rebalancers retry freely.
+// Syncing is idempotent: a set already committed locally (including
+// one that committed concurrently) reports AlreadyPresent instead of
+// failing, so rebalancers retry freely. A set another writer is still
+// saving fails the sync with a retryable 502.
 func (s *Service) SyncSet(ctx context.Context, approach, setID, from string) (SyncReport, error) {
 	report := SyncReport{Approach: approach, SetID: setID}
 	a := s.approaches[approach]
@@ -99,9 +100,13 @@ func (s *Service) SyncSet(ctx context.Context, approach, setID, from string) (Sy
 
 	res, err := a.SaveContext(ctx, core.SaveRequest{Set: set, SetID: setID})
 	if errors.Is(err, core.ErrSetExists) {
-		// Lost a race with another writer; the set is there either way.
-		report.AlreadyPresent = true
-		return report, nil
+		// Lost a race with another writer. Only a committed set is
+		// present; one still being written fails this sync, and the
+		// rebalancer retries.
+		if report.AlreadyPresent, err = s.HasSet(a, setID); err == nil && !report.AlreadyPresent {
+			err = fmt.Errorf("server: sync save of %s/%s: set is still being saved", approach, setID)
+		}
+		return report, err
 	}
 	if err != nil {
 		return report, fmt.Errorf("server: sync save of %s/%s: %w", approach, setID, err)

@@ -57,7 +57,7 @@ func TestExplicitIDSave(t *testing.T) {
 	c, _, _ := newNode(t, Config{})
 	set := testSet(t, 4)
 
-	res, err := c.SaveAs(ctx, "baseline", "my-set-01", "", set, "", nil, nil)
+	res, err := c.SaveAs(ctx, "baseline", "my-set-01", set, "", nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,12 +73,12 @@ func TestExplicitIDSave(t *testing.T) {
 	}
 
 	// The same explicit ID again must conflict with set_exists.
-	if _, err := c.SaveAs(ctx, "baseline", "my-set-01", "", testSet(t, 4), "", nil, nil); !errors.Is(err, core.ErrSetExists) {
+	if _, err := c.SaveAs(ctx, "baseline", "my-set-01", testSet(t, 4), "", nil, nil); !errors.Is(err, core.ErrSetExists) {
 		t.Fatalf("duplicate explicit ID: err = %v, want ErrSetExists", err)
 	}
 
 	// Illegal IDs are rejected before anything is written.
-	if _, err := c.SaveAs(ctx, "baseline", "../evil", "", testSet(t, 4), "", nil, nil); err == nil {
+	if _, err := c.SaveAs(ctx, "baseline", "../evil", testSet(t, 4), "", nil, nil); err == nil {
 		t.Fatal("path-traversal ID accepted")
 	}
 
@@ -98,7 +98,7 @@ func TestSyncSetCopiesByteIdentically(t *testing.T) {
 	dstClient, dstAPI, _ := newNode(t, Config{Dedup: true})
 
 	set := testSet(t, 10)
-	res, err := srcClient.SaveAs(ctx, "baseline", "sync-src-01", "", set, "", nil, nil)
+	res, err := srcClient.SaveAs(ctx, "baseline", "sync-src-01", set, "", nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +154,7 @@ func TestSyncMovesOnlyMissingChunks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := srcClient.SaveAs(ctx, "baseline", "delta-a", "", base, "", nil, nil); err != nil {
+	if _, err := srcClient.SaveAs(ctx, "baseline", "delta-a", base, "", nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	// Same seed, one model nudged: almost every chunk is shared.
@@ -163,7 +163,7 @@ func TestSyncMovesOnlyMissingChunks(t *testing.T) {
 		t.Fatal(err)
 	}
 	sibling.Models[3].Params()[0].Tensor.Data[0] += 1
-	if _, err := srcClient.SaveAs(ctx, "baseline", "delta-b", "", sibling, "", nil, nil); err != nil {
+	if _, err := srcClient.SaveAs(ctx, "baseline", "delta-b", sibling, "", nil, nil); err != nil {
 		t.Fatal(err)
 	}
 
