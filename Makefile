@@ -134,9 +134,10 @@ chaos-smoke:
 # Dedup smoke test: the U1→U3-3 workload with and without WithDedup
 # for every approach — physical bytes must shrink, recovery must stay
 # bit-identical, and the chunk lifecycle (prune sharing, GC, fsck,
-# crash enumeration) must hold under the race detector.
+# crash enumeration, legacy stores, the backend cost of a dedup save
+# and release) must hold under the race detector.
 dedup-smoke:
-	$(GO) test -race -count=1 -run 'TestDedup|TestCrashEnumerationDedup' ./internal/core
+	$(GO) test -race -count=1 -run 'TestDedup|TestCrashEnumerationDedup' ./internal/core ./internal/storage/cas
 
 # Codec smoke test: every codec (raw, zlib, tensor-LZ) through the
 # real CLI against a real on-disk store — init, an update cycle,

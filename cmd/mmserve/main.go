@@ -45,8 +45,8 @@
 // only for throwaway stores.
 //
 // -scrub-interval D enables the self-healing background scrubber: it
-// incrementally verifies chunk digests, recipes, refcounts, and blob
-// checksums (throttled by -scrub-rate), moves corrupt bodies to the
+// incrementally verifies chunk digests, recipes, and blob checksums
+// (throttled by -scrub-rate), moves corrupt bodies to the
 // quarantine namespace so reads fail fast instead of serving rot, and
 // — with -repair-from URL naming a healthy peer — re-fetches damaged
 // chunks by digest over the pull protocol and restores them. Progress

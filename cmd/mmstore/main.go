@@ -27,8 +27,8 @@
 // set completeness, orphaned crash debris — and with -repair deletes
 // the orphans. -retries N retries transient store I/O errors.
 //
-// scrub runs one full verification pass over chunks, recipes,
-// refcounts, and raw blobs: corrupt bodies are moved to the quarantine
+// scrub runs one full verification pass over chunks, recipes and raw
+// blobs: corrupt bodies are moved to the quarantine
 // namespace (reads fail fast, the damaged bytes are preserved) and,
 // with -repair-from URL naming a healthy mmserve peer, re-fetched by
 // digest over the pull protocol and restored in place. -full restarts
@@ -366,9 +366,8 @@ func run(ctx context.Context, args []string) error {
 		if err != nil {
 			return err
 		}
-		fmt.Printf("deleted %d chunk(s) (%.3f MB) and %d stale refcount(s), kept %d\n",
-			report.ChunksDeleted, float64(report.BytesFreed)/1e6,
-			report.RefsDeleted, report.ChunksKept)
+		fmt.Printf("deleted %d chunk(s) (%.3f MB), kept %d\n",
+			report.ChunksDeleted, float64(report.BytesFreed)/1e6, report.ChunksKept)
 		return nil
 
 	case "prune":

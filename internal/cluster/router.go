@@ -469,8 +469,11 @@ func (rt *Router) candidates(key string) []Member {
 // proxyGet forwards a GET to the first candidate that answers it,
 // streaming the response through. 404s and 5xx failover to the next
 // candidate (this replica may be missing a set its peers hold); other
-// statuses are authoritative. A body that dies mid-stream aborts the
-// client connection so the truncation is never mistaken for success.
+// statuses are authoritative, and so is a 404 pull_unavailable — the
+// node holds the set and tells the client to use multipart, which a
+// later non-owner's set_not_found must not hide. A body that dies
+// mid-stream aborts the client connection so the truncation is never
+// mistaken for success.
 func (rt *Router) proxyGet(w http.ResponseWriter, r *http.Request, members []Member) {
 	if len(members) == 0 {
 		server.WriteJSON(w, http.StatusServiceUnavailable, routerError{Error: "cluster has no usable members"})
@@ -505,6 +508,10 @@ func (rt *Router) proxyGet(w http.ResponseWriter, r *http.Request, members []Mem
 			resp.Body.Close()
 			if resp.StatusCode >= 500 {
 				rt.noteNodeError(m)
+			}
+			var e routerError
+			if resp.StatusCode == http.StatusNotFound && json.Unmarshal(lastBody, &e) == nil && e.Code == "pull_unavailable" {
+				break
 			}
 			continue
 		}

@@ -711,3 +711,30 @@ func TestRouterDeepLineageStaysPlaced(t *testing.T) {
 		}
 	}
 }
+
+// TestRouterRecoversDerivedUpdateSet recovers a derived Update set
+// through the router. Its owners answer the pull-manifest request with
+// 404 pull_unavailable ("the set is here, use multipart"); the router
+// must pass that answer through instead of failing over to a
+// non-owner whose set_not_found would hide the set from the client.
+func TestRouterRecoversDerivedUpdateSet(t *testing.T) {
+	ctx := context.Background()
+	tc := newCluster(t, 3, 2, RouterConfig{})
+	set := clusterSet(t, 51)
+	root, err := tc.client.SaveWithKey(ctx, "update", "update-root", set, "", nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	set.Models[1].Params()[0].Tensor.Data[0] += 0.5
+	derived, err := tc.client.SaveWithKey(ctx, "update", "update-derived", set, root.SetID, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := tc.client.Recover(ctx, "update", derived.SetID)
+	if err != nil {
+		t.Fatalf("recovering derived Update set %s through the router: %v", derived.SetID, err)
+	}
+	if !set.Equal(got) {
+		t.Fatalf("derived Update set %s recovered with wrong bytes", derived.SetID)
+	}
+}

@@ -50,12 +50,13 @@ func (b *approachBase) blobSize(key string) (int64, error) {
 // GCReport summarizes a dedup garbage-collection pass.
 type GCReport = cas.GCReport
 
-// GCStore deletes every deduplicated chunk no recipe references (and
-// whose persisted refcount is zero) from the store's CAS layer,
-// recording the deletions in reg (nil means obs.Default is skipped; the
-// cas package tolerates nil). Releases already delete chunks eagerly
-// when their refcount reaches zero, so GCStore mainly reclaims debris
-// left by crashes — typically after an Fsck -repair pass.
+// GCStore deletes every deduplicated chunk no recipe references from
+// the store's CAS layer, recording the deletions in reg (nil records
+// into obs.Default), and rebuilds the layer's in-memory recipe census.
+// Releases already delete chunks eagerly when the last recipe listing
+// them goes, so GCStore mainly reclaims debris left by crashes —
+// typically after an Fsck -repair pass, which also lets a census that
+// met an unreadable recipe be built again.
 func GCStore(st Stores, reg *obs.Registry) (GCReport, error) {
 	return cas.For(st.Blobs).GC(reg)
 }

@@ -6,10 +6,12 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"errors"
+	"fmt"
 	"sync"
 	"testing"
 
 	"github.com/mmm-go/mmm/internal/nn"
+	"github.com/mmm-go/mmm/internal/scrub"
 	"github.com/mmm-go/mmm/internal/storage/cas"
 )
 
@@ -141,8 +143,7 @@ func TestDedupReducesPhysicalBytesAllApproaches(t *testing.T) {
 
 // TestDedupConcurrentSaveSameSetID races saves under one explicit set
 // ID: exactly one may write the set, the rest must fail with
-// ErrSetExists without taking a single chunk reference — a second
-// writer would leave refcounts the surviving recipes do not imply.
+// ErrSetExists and leave the store fsck-clean.
 func TestDedupConcurrentSaveSameSetID(t *testing.T) {
 	st, _, _ := rawStores()
 	a := NewBaseline(st, WithDedup(), WithConcurrency(1))
@@ -274,37 +275,15 @@ func TestDedupFsckRepairsPlantedCASDebris(t *testing.T) {
 	set := mustNewSet(t, 2)
 	id := mustSave(t, a, SaveRequest{Set: set}).SetID
 
-	// An orphan chunk with a stale refcount.
+	// An orphan chunk.
 	orphan := []byte("orphan chunk payload")
 	sum := sha256.Sum256(orphan)
 	orphanHash := hex.EncodeToString(sum[:])
 	if err := st.Blobs.Put(cas.ChunkKey(orphanHash), orphan); err != nil {
 		t.Fatal(err)
 	}
-	if err := st.Blobs.Put(cas.RefKey(orphanHash), cas.EncodeRefcount(3)); err != nil {
-		t.Fatal(err)
-	}
 	// An unreadable recipe for a set that does not exist.
 	if err := st.Blobs.Put(cas.RecipeKey("baseline/bl-999999/params.bin"), []byte("{torn")); err != nil {
-		t.Fatal(err)
-	}
-	// Drifted refcount on a live chunk.
-	scan, err := cas.ScanStore(st.Blobs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var liveHash string
-	var wantCount int
-	for h, n := range scan.Refs {
-		if h != orphanHash {
-			liveHash, wantCount = h, n
-			break
-		}
-	}
-	if liveHash == "" {
-		t.Fatal("save produced no live chunks")
-	}
-	if err := st.Blobs.Put(cas.RefKey(liveHash), cas.EncodeRefcount(99)); err != nil {
 		t.Fatal(err)
 	}
 
@@ -319,7 +298,7 @@ func TestDedupFsckRepairsPlantedCASDebris(t *testing.T) {
 	for _, i := range report.Issues {
 		kinds[i.Kind] = true
 	}
-	for _, want := range []string{FsckCASChunk, FsckCASRecipe, FsckCASRefcount} {
+	for _, want := range []string{FsckCASChunk, FsckCASRecipe} {
 		if !kinds[want] {
 			t.Errorf("no %s issue reported; got %v", want, report.Issues)
 		}
@@ -343,11 +322,96 @@ func TestDedupFsckRepairsPlantedCASDebris(t *testing.T) {
 	if _, ok := rescan.Chunks[orphanHash]; ok {
 		t.Error("orphan chunk survived repair")
 	}
-	if got := rescan.Refs[liveHash]; got != wantCount {
-		t.Errorf("live refcount is %d after repair, want %d", got, wantCount)
-	}
 	if !mustRecover(t, a, id).Equal(set) {
 		t.Fatalf("committed set %s damaged by repair", id)
+	}
+}
+
+// TestDedupLegacyRefKeysIgnored opens a store written before chunk
+// liveness was derived — one that still holds a persisted refcount per
+// chunk under cas/refs/, plus one for a chunk that is gone — and runs
+// the whole chunk lifecycle over it. Nothing may read, count, report or
+// delete those keys; one whose bytes no longer match their checksum is
+// debris, never damage.
+func TestDedupLegacyRefKeysIgnored(t *testing.T) {
+	st, blobBE, _ := rawStores()
+	a := NewBaseline(st, WithConcurrency(1), WithDedup())
+	set := factoryFleet(t, nn.FFNN48(), 4)
+	base := mustSave(t, a, SaveRequest{Set: set}).SetID
+
+	scan, err := cas.ScanStore(st.Blobs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gone := sha256.Sum256([]byte("a chunk this store never held"))
+	hashes := []string{hex.EncodeToString(gone[:])}
+	for h := range scan.Chunks {
+		hashes = append(hashes, h)
+	}
+	planted := map[string][]byte{}
+	for i, h := range hashes {
+		key := "cas/refs/" + h[:2] + "/" + h
+		planted[key] = []byte(fmt.Sprint(i % 3))
+		if err := st.Blobs.Put(key, planted[key]); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	set.Models[1].Params()[0].Tensor.Data[0] += 0.5
+	derived := mustSave(t, a, SaveRequest{Set: set}).SetID
+	if _, err := a.Prune([]string{derived}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := GCStore(st, nil); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := a.Recover(base); !errors.Is(err, ErrSetNotFound) {
+		t.Fatalf("pruned base %s: err = %v, want ErrSetNotFound", base, err)
+	}
+	if !mustRecover(t, a, derived).Equal(set) {
+		t.Fatalf("derived set %s not bit-exact over a legacy store", derived)
+	}
+	report, err := Fsck(st, FsckOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !report.Clean() {
+		t.Fatalf("legacy store not fsck-clean:\n%v", report.Issues)
+	}
+	pass, err := scrub.New(st.Blobs, st.Docs, scrub.Config{}).RunPass(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(pass.Findings) != 0 {
+		t.Fatalf("scrub reported legacy keys: %v", pass.Findings)
+	}
+	for key, want := range planted {
+		if got, err := st.Blobs.Get(key); err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("legacy key %s touched: %q, %v", key, got, err)
+		}
+	}
+
+	// A legacy key whose bytes rotted under their manifest is debris.
+	var rotted string
+	for key := range planted {
+		rotted = key
+		break
+	}
+	if err := blobBE.Put(rotted, []byte("garbled")); err != nil {
+		t.Fatal(err)
+	}
+	report, err = Fsck(st, FsckOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if report.Damaged() || report.Clean() {
+		t.Fatalf("rotted legacy key: want repairable debris, got:\n%v", report.Issues)
+	}
+	if _, err := Fsck(st, FsckOptions{Repair: true}); err != nil {
+		t.Fatal(err)
+	}
+	if after, err := Fsck(st, FsckOptions{}); err != nil || !after.Clean() {
+		t.Fatalf("store not clean after repairing a rotted legacy key: %v\n%v", err, after.Issues)
 	}
 }
 
@@ -417,9 +481,9 @@ func TestCrashEnumerationDedupUpdate(t *testing.T) {
 
 // TestCrashEnumerationDedupPruneAndGC sweeps crash points through the
 // full chunk lifecycle: two sharing saves, a prune that releases one
-// (recipe deletion + refcount decrements), and a GC deleting a
-// zero-ref chunk. Every prefix must stay repairable and the surviving
-// set recoverable.
+// (recipe deletion, then the chunks no other recipe lists), and a GC
+// deleting an unlisted chunk. Every prefix must stay repairable and the
+// surviving set recoverable.
 func TestCrashEnumerationDedupPruneAndGC(t *testing.T) {
 	runCrashEnumeration(t, "Baseline", func(t *testing.T, st Stores) []crashCommit {
 		a := NewBaseline(st, WithConcurrency(1), WithDedup())
@@ -429,15 +493,12 @@ func TestCrashEnumerationDedupPruneAndGC(t *testing.T) {
 		if _, err := a.Prune([]string{idB}); err != nil {
 			t.Fatal(err)
 		}
-		// Plant a zero-ref chunk so GC has real deletions to crash in
+		// Plant an unlisted chunk so GC has real deletions to crash in
 		// (eager release leaves none behind on the happy path).
 		fodder := []byte("unreferenced chunk for gc")
 		sum := sha256.Sum256(fodder)
 		h := hex.EncodeToString(sum[:])
 		if err := st.Blobs.Put(cas.ChunkKey(h), fodder); err != nil {
-			t.Fatal(err)
-		}
-		if err := st.Blobs.Put(cas.RefKey(h), cas.EncodeRefcount(0)); err != nil {
 			t.Fatal(err)
 		}
 		rep, err := GCStore(st, nil)

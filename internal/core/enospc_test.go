@@ -9,9 +9,9 @@ import (
 )
 
 // Disk-full regression: a save that hits ENOSPC at ANY write boundary
-// must roll back to nothing — in particular no orphaned chunks with
-// nonzero refcounts in the dedup namespaces (zero residual raw keys
-// subsumes that: no chunk, ref, recipe, or manifest keys at all) — and
+// must roll back to nothing — in particular no orphaned chunks in the
+// dedup namespaces (zero residual raw keys subsumes that: no chunk,
+// recipe, or manifest keys at all) — and
 // the error must classify as a no-space condition end to end.
 func TestDiskFullSaveRollsBackCleanly(t *testing.T) {
 	builders := map[string]func(Stores) Approach{

@@ -206,7 +206,7 @@ func Fsck(st Stores, opts FsckOptions) (*FsckReport, error) {
 		}
 	}
 
-	// CAS direction: recipe/chunk/refcount consistency. Runs before the
+	// CAS direction: recipe/chunk consistency. Runs before the
 	// checksum direction so debris it identifies (orphan chunks, stale
 	// recipes) also classifies checksum findings on those keys as
 	// orphans.
@@ -226,7 +226,7 @@ func Fsck(st Stores, opts FsckOptions) (*FsckReport, error) {
 	for _, i := range integrity {
 		flagged[i.Key] = true
 		prefix := ownedPrefix(i.Key)
-		orphanable := (prefix != "" && !refs.unsafePrefix[prefix] && !refs.blobs[i.Key]) || casInfo.orphan[i.Key]
+		orphanable := (prefix != "" && !refs.unsafePrefix[prefix] && !refs.blobs[i.Key]) || casInfo.orphan[i.Key] || deadCASKey(i.Key)
 		var kind string
 		switch {
 		case i.Mismatch:
@@ -239,13 +239,6 @@ func Fsck(st Stores, opts FsckOptions) (*FsckReport, error) {
 			orphanable = true
 		default:
 			kind = FsckUnchecksummed
-		}
-		// A live refcount with checksum trouble (crash between the ref
-		// write and its manifest) is drift, not damage: repair rewrites
-		// it from the surviving recipes instead of deleting it.
-		if rewrite, ok := casInfo.refRewrite[i.Key]; ok && !i.Dangling {
-			orphanable = true
-			casRepairs[casRepairKey(kind, i.Key)] = rewrite
 		}
 		report.Issues = append(report.Issues, FsckIssue{
 			Kind: kind, Key: i.Key, Problem: i.Problem, Orphan: orphanable,

@@ -8,10 +8,10 @@ import (
 	"github.com/mmm-go/mmm/internal/storage/cas"
 )
 
-// CAS fsck direction: the deduplicating chunk store adds three
-// namespaces (chunks, refcounts, recipes) whose mutual consistency the
-// generic orphan analysis cannot see — a chunk is live not because a
-// set references its key but because a live recipe lists its hash.
+// CAS fsck direction: the deduplicating chunk store adds two
+// namespaces (chunks, recipes) whose mutual consistency the generic
+// orphan analysis cannot see — a chunk is live not because a set
+// references its key but because a live recipe lists its hash.
 // casFsck checks the dedup invariants:
 //
 //   - every recipe belongs to a committed set (else: orphaned partial
@@ -19,18 +19,15 @@ import (
 //   - every chunk a live recipe lists exists with the recorded size
 //     (else: committed data damaged, report only),
 //   - every chunk is listed by at least one surviving recipe (else:
-//     orphan chunk, deletable together with its refcount),
-//   - every persisted refcount equals the number of surviving recipes
-//     listing the chunk (else: metadata drift, rewritable),
-//   - no refcount exists for a chunk that is gone (else: bookkeeping
-//     debris, deletable).
+//     orphan chunk, deletable).
 //
-// Saves increment refcounts after writing the recipe and commit by
-// writing set metadata last; Release deletes the recipe before
-// decrementing. A crash at any prefix therefore leaves stored
-// refcounts >= surviving-recipe references and only debris of the
-// kinds above — all Orphan-class, so a single Repair pass returns the
-// store to Clean without touching committed data.
+// Chunk liveness is derived from the recipes and never persisted, so
+// there is no count to check. Saves write chunks, then the recipe, and
+// commit by writing set metadata last; a release deletes the recipe
+// before its chunks. A crash at any prefix therefore leaves only debris
+// of the kinds above — all Orphan-class, so a single Repair pass
+// returns the store to Clean without touching committed data. Legacy
+// cas/refs/ keys from stores written before the census are ignored.
 
 // Fsck issue kinds of the CAS direction.
 const (
@@ -38,14 +35,21 @@ const (
 	FsckCASChunk = "cas-chunk"
 	// FsckCASRecipe is a recipe document that is orphaned or garbled.
 	FsckCASRecipe = "cas-recipe"
-	// FsckCASRefcount is a persisted refcount that disagrees with the
-	// surviving recipes (or outlived its chunk).
-	FsckCASRefcount = "cas-refcount"
 )
 
 // casRepairKey indexes the side table of CAS repair actions that are
 // not plain single-key deletions. Kind+key is unique per issue.
 func casRepairKey(kind, key string) string { return kind + "\x00" + key }
+
+// deadCASKey reports whether key lies in the CAS namespace but is
+// neither a chunk nor a recipe — the refcounts of stores written before
+// chunk liveness was derived. Nothing reads such a key, so checksum
+// trouble on one is debris, never damage.
+func deadCASKey(key string) bool {
+	_, chunk := cas.ChunkHash(key)
+	_, recipe := cas.LogicalKey(key)
+	return cas.IsKey(key) && !chunk && !recipe
+}
 
 // casState is what casFsck hands the rest of Fsck.
 type casState struct {
@@ -55,12 +59,6 @@ type casState struct {
 	// repairs maps casRepairKey to the repair action where a plain
 	// delete of the issue key is not enough.
 	repairs map[string]func() error
-	// refRewrite maps the ref key of every surviving chunk to a repair
-	// that rewrites its refcount from the surviving recipes. Integrity
-	// findings on those keys (a crash between a refcount write and its
-	// manifest) are repairable drift, never damage — a refcount is
-	// derivable metadata, not primary data.
-	refRewrite map[string]func() error
 }
 
 // casFsck appends CAS issues to the report and returns the side state
@@ -72,9 +70,8 @@ func casFsck(st Stores, refs *refSet, report *FsckReport) (*casState, error) {
 	}
 	cs := cas.For(st.Blobs)
 	state := &casState{
-		orphan:     map[string]bool{},
-		repairs:    map[string]func() error{},
-		refRewrite: map[string]func() error{},
+		orphan:  map[string]bool{},
+		repairs: map[string]func() error{},
 	}
 	orphanKeys, repairs := state.orphan, state.repairs
 
@@ -89,7 +86,7 @@ func casFsck(st Stores, refs *refSet, report *FsckReport) (*casState, error) {
 
 	// Garbled recipes: deletable when orphaned; otherwise committed
 	// data is unreadable AND chunk reachability is unknown, so the
-	// orphan-chunk/refcount analysis below must not run (it would
+	// orphan-chunk analysis below must not run (it would
 	// classify that recipe's chunks as garbage).
 	unsafe := false
 	badLogical := make([]string, 0, len(scan.BadRecipes))
@@ -116,15 +113,13 @@ func casFsck(st Stores, refs *refSet, report *FsckReport) (*casState, error) {
 	}
 
 	// Surviving recipes (everything not classified orphan) define chunk
-	// liveness: liveCount is the number of surviving recipes listing a
-	// chunk, which is exactly what each persisted refcount must equal —
-	// saves increment once per distinct chunk per recipe.
+	// liveness: a chunk is live while one of them lists it.
 	logicals := make([]string, 0, len(scan.Recipes))
 	for logical := range scan.Recipes {
 		logicals = append(logicals, logical)
 	}
 	sort.Strings(logicals)
-	liveCount := map[string]int{}
+	live := map[string]bool{}
 	missingReported := map[string]bool{}
 	for _, logical := range logicals {
 		if orphanRecipe(logical) {
@@ -137,12 +132,8 @@ func casFsck(st Stores, refs *refSet, report *FsckReport) (*casState, error) {
 			})
 			continue
 		}
-		seen := map[string]bool{}
 		for _, c := range scan.Recipes[logical].Chunks {
-			if !seen[c.Hash] {
-				seen[c.Hash] = true
-				liveCount[c.Hash]++
-			}
+			live[c.Hash] = true
 			if missingReported[c.Hash] {
 				continue
 			}
@@ -196,7 +187,7 @@ func casFsck(st Stores, refs *refSet, report *FsckReport) (*casState, error) {
 				Kind: FsckQuarantine, Key: issueKey,
 				Problem: "quarantined corrupt data; reachability unknown (unreadable recipes), preserved",
 			})
-		case isChunk && liveCount[h] > 0:
+		case isChunk && live[h]:
 			// Damage already reported by the missing-chunk branch.
 		case isChunk:
 			report.Issues = append(report.Issues, FsckIssue{
@@ -231,96 +222,22 @@ func casFsck(st Stores, refs *refSet, report *FsckReport) (*casState, error) {
 		return state, nil
 	}
 
-	// Orphan chunks: no surviving recipe lists them. Deleting one
-	// (together with its refcount) can never lose committed data.
+	// Orphan chunks: no surviving recipe lists them, so deleting one can
+	// never lose committed data.
 	hashes := make([]string, 0, len(scan.Chunks))
 	for h := range scan.Chunks {
 		hashes = append(hashes, h)
 	}
 	sort.Strings(hashes)
 	for _, h := range hashes {
-		if liveCount[h] > 0 {
+		if live[h] {
 			continue
 		}
-		chunkKey, refKey := cas.ChunkKey(h), cas.RefKey(h)
-		orphanKeys[chunkKey] = true
-		orphanKeys[refKey] = true
+		key := cas.ChunkKey(h)
+		orphanKeys[key] = true
 		report.Issues = append(report.Issues, FsckIssue{
-			Kind: FsckCASChunk, Key: chunkKey,
+			Kind: FsckCASChunk, Key: key,
 			Problem: "chunk not referenced by any recipe (orphaned partial write)",
-			Orphan:  true,
-		})
-		repairs[casRepairKey(FsckCASChunk, chunkKey)] = func() error {
-			if err := st.Blobs.Delete(chunkKey); err != nil {
-				return err
-			}
-			return st.Blobs.Delete(refKey)
-		}
-	}
-
-	// Refcount drift on surviving chunks: a crash between recipe and
-	// refcount writes (or between recipe deletion and decrements)
-	// leaves counts above the recipe references; rewrite to the
-	// recomputed value. Garbled and missing ref files repair the same
-	// way.
-	liveHashes := make([]string, 0, len(liveCount))
-	for h := range liveCount {
-		liveHashes = append(liveHashes, h)
-	}
-	sort.Strings(liveHashes)
-	for _, h := range liveHashes {
-		if _, ok := scan.Chunks[h]; !ok {
-			continue // chunk missing: damage reported above, nothing to rewrite
-		}
-		want := liveCount[h]
-		refKey := cas.RefKey(h)
-		rewrite := func() error {
-			return st.Blobs.Put(refKey, cas.EncodeRefcount(want))
-		}
-		state.refRewrite[refKey] = rewrite
-		stored, hasRef := scan.Refs[h]
-		badErr, bad := scan.BadRefs[h]
-		if hasRef && !bad && stored == want {
-			continue
-		}
-		problem := fmt.Sprintf("refcount is %d, surviving recipes imply %d", stored, want)
-		if bad {
-			problem = fmt.Sprintf("refcount unreadable (%v), surviving recipes imply %d", badErr, want)
-		} else if !hasRef {
-			problem = fmt.Sprintf("refcount missing, surviving recipes imply %d", want)
-		}
-		report.Issues = append(report.Issues, FsckIssue{
-			Kind: FsckCASRefcount, Key: refKey, Problem: problem, Orphan: true,
-		})
-		repairs[casRepairKey(FsckCASRefcount, refKey)] = rewrite
-	}
-
-	// Dangling refcounts: the chunk is gone and nothing references it
-	// (GC deletes the chunk before its refcount, so a crash between the
-	// two strands the ref). Plain deletion of the issue key suffices.
-	dangling := make([]string, 0)
-	for h := range scan.Refs {
-		dangling = append(dangling, h)
-	}
-	for h := range scan.BadRefs {
-		dangling = append(dangling, h)
-	}
-	sort.Strings(dangling)
-	for _, h := range dangling {
-		if _, ok := scan.Chunks[h]; ok {
-			continue
-		}
-		if liveCount[h] > 0 {
-			continue // chunk missing under live references: damage, keep the ref
-		}
-		refKey := cas.RefKey(h)
-		if orphanKeys[refKey] {
-			continue
-		}
-		orphanKeys[refKey] = true
-		report.Issues = append(report.Issues, FsckIssue{
-			Kind: FsckCASRefcount, Key: refKey,
-			Problem: "refcount for nonexistent chunk (bookkeeping debris)",
 			Orphan:  true,
 		})
 	}

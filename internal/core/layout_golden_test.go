@@ -27,7 +27,7 @@ var goldenEnvDependent = []string{"mmlib_env/", "provenance_train/"}
 // TestGoldenLayout pins the on-disk layout of all four approaches: a
 // seeded U1→U3-1→U3-2 chain saved into memory backends must produce
 // exactly the committed list of backend keys (documents, blobs,
-// checksum manifests, CAS chunks/recipes/refcounts), each with its
+// checksum manifests, CAS chunks and recipes), each with its
 // size and SHA-256. Refactors of the save paths must leave it
 // untouched; regenerate with -update-golden only when a format change
 // is intended.

@@ -207,7 +207,7 @@ func (p peekOnPut) Put(key string, data []byte) error {
 // in turn — the last is the commit record, by which time every blob is
 // written — while a reader loads the set's chunk index into the cache
 // just before each. The rollback must leave no raw blob, recipe, chunk,
-// refcount, manifest or document, and no cached index entry.
+// manifest or document, and no cached index entry.
 func faultedSaveLeavesNothing(t *testing.T, l *layout, opts []Option) {
 	t.Helper()
 	for k := 0; ; k++ {

@@ -175,8 +175,7 @@ type saveOp struct {
 // or as one raw blob. Approaches pass op.dedup; the per-set chunk
 // index is always raw. The recorded cost of a chunked write is its
 // *physical* footprint — newly stored chunk bytes plus the recipe — so
-// SaveResult.BytesWritten reflects what the store actually grew by;
-// refcount updates are bookkeeping and not counted as write ops.
+// SaveResult.BytesWritten reflects what the store actually grew by.
 func (op *saveOp) put(key string, data []byte, hints cas.Hints, chunked bool) (cas.PutResult, error) {
 	var res cas.PutResult
 	var err error

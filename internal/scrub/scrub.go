@@ -1,7 +1,7 @@
 // Package scrub is the self-healing subsystem of the store: a
 // rate-limited background scrubber that incrementally walks every
-// persisted artifact — CAS chunk bodies, recipes, refcounts, per-set
-// chunk indexes, and checksummed raw blobs — re-verifying digests long
+// persisted artifact — CAS chunk bodies, recipes, per-set chunk
+// indexes, and checksummed raw blobs — re-verifying digests long
 // after the write path succeeded. Corruption is moved to the blob
 // store's quarantine namespace (never deleted) so reads fail fast
 // instead of serving rot, and, when a healthy peer is configured, the
@@ -22,7 +22,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -410,10 +409,8 @@ func (s *Scrubber) scanKey(ctx context.Context, key string, rep *Report) error {
 		return s.scanChunk(ctx, key, rep)
 	case isRecipeKey(key):
 		return s.scanRecipe(ctx, key, rep)
-	case cas.IsRefKey(key):
-		return s.scanRef(ctx, key, rep)
 	case cas.IsKey(key):
-		return nil // unknown CAS-internal key; fsck's domain
+		return nil // no other CAS key is read (old stores' refcounts)
 	case isIndexKey(key):
 		return s.scanIndex(ctx, key, rep)
 	default:
@@ -423,7 +420,7 @@ func (s *Scrubber) scanKey(ctx context.Context, key string, rep *Report) error {
 
 func isChunkKey(key string) bool {
 	_, ok := cas.ChunkHash(key)
-	return ok && !cas.IsRefKey(key)
+	return ok
 }
 
 func isRecipeKey(key string) bool {
@@ -553,25 +550,6 @@ func (s *Scrubber) scanRecipe(ctx context.Context, key string, rep *Report) erro
 			f.RepairError = "no repair peer configured"
 		}
 		s.record(rep, f)
-	}
-	return nil
-}
-
-// scanRef sanity-checks one persisted refcount.
-func (s *Scrubber) scanRef(ctx context.Context, key string, rep *Report) error {
-	raw, err := s.blobs.Get(key)
-	if err != nil {
-		return nil
-	}
-	if err := s.pace(ctx, int64(len(raw))); err != nil {
-		return err
-	}
-	rep.BytesVerified += int64(len(raw))
-	s.reg.Counter(MetricBytes).Add(int64(len(raw)))
-	if n, aerr := strconv.Atoi(strings.TrimSpace(string(raw))); aerr != nil || n < 0 {
-		// Refcounts are derivable from recipes; fsck -repair rewrites
-		// them. Scrub only reports the drift.
-		s.record(rep, Finding{Key: key, Problem: fmt.Sprintf("garbled refcount %q", raw)})
 	}
 	return nil
 }

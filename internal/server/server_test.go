@@ -592,7 +592,7 @@ func TestSaveDiskFullReturns507(t *testing.T) {
 	fBlob.FailPutsAfter(-1)
 
 	// Rollback left nothing behind: the store is fsck-clean with no
-	// orphans, so no chunk carries a nonzero refcount.
+	// orphans, so no chunk or recipe survives.
 	report, ferr := core.Fsck(stores, core.FsckOptions{})
 	if ferr != nil {
 		t.Fatal(ferr)

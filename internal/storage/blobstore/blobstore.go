@@ -39,7 +39,7 @@ type Store struct {
 	stats Stats
 
 	// view is the one layer built on top of this store — the CAS layer's
-	// logical-blob view, whose refcount lock, pins and cache must be
+	// logical-blob view, whose recipe census, pins and cache must be
 	// shared by everyone using the store. The store owns it, so it lives
 	// exactly as long as the store does. Typed any because the layer
 	// imports this package.

@@ -8,10 +8,10 @@
 //   - Each shard splits its byte budget into a probationary and a
 //     protected segment. New entries of weight < ProtectedWeight enter
 //     probation; a second touch promotes them. Entries admitted with
-//     weight >= ProtectedWeight (for chunks: their CAS reference count,
-//     i.e. how many saved sets share the bytes) enter protected
+//     weight >= ProtectedWeight (for chunks: their CAS census count,
+//     i.e. how many stored recipes share the bytes) enter protected
 //     directly — highly shared chunks are hot by construction, which is
-//     the admission signal refcount-weighted dedup caching gives us for
+//     the admission signal sharing-weighted dedup caching gives us for
 //     free.
 //   - Eviction drains the probationary tail first, so a scan of
 //     never-touched-again chunks (a one-off full recovery of a cold
@@ -38,8 +38,8 @@ import (
 
 // ProtectedWeight is the admission weight at which an entry skips
 // probation and enters the protected segment directly. For chunk
-// entries the weight is the CAS refcount, so 2 means "shared by at
-// least two saved sets".
+// entries the weight is the chunk's CAS census count — how many stored
+// recipes list it — so 2 means "shared by at least two saved blobs".
 const ProtectedWeight = 2
 
 // Cache metric families exposed on /metrics.
@@ -232,7 +232,7 @@ func (c *Cache) Get(key string) (any, bool) {
 
 // Put admits a value of the given size under key. weight >=
 // ProtectedWeight admits directly into the protected segment (for
-// chunks the weight is the CAS refcount). Values larger than a whole
+// chunks the weight is the CAS census count). Values larger than a whole
 // shard's budget are rejected. Re-putting an existing key refreshes
 // the stored value in place. Returns whether the value was admitted.
 // The cache keeps a reference to val — callers must not mutate it.

@@ -52,46 +52,42 @@ func (s *Store) EnableCache(maxBytes int64, reg *obs.Registry) {
 // ChunkCache returns the attached cache, nil when none is enabled.
 func (s *Store) ChunkCache() *cache.Cache { return s.cache.Load() }
 
-// Pin marks chunk hashes as held by an in-flight read: Release's eager
+// Pin marks chunk hashes as held by an in-flight read: release's eager
 // delete-at-zero, GC, and a failed Put's undo all refuse to delete a
 // pinned chunk, exactly like chunks of in-flight Puts. Every Pin must
 // be paired with an Unpin of the same hashes.
 func (s *Store) Pin(hashes ...string) {
-	s.refMu.Lock()
+	s.mu.Lock()
 	for _, h := range hashes {
 		s.pinned[h]++
 	}
-	s.refMu.Unlock()
+	s.mu.Unlock()
 }
 
 // Unpin releases pins taken by Pin.
 func (s *Store) Unpin(hashes ...string) {
-	s.refMu.Lock()
+	s.mu.Lock()
 	for _, h := range hashes {
 		if s.pinned[h]--; s.pinned[h] <= 0 {
 			delete(s.pinned, h)
 		}
 	}
-	s.refMu.Unlock()
+	s.mu.Unlock()
 }
 
-// chunkWeight is the cache admission weight of a chunk: its persisted
-// reference count, i.e. how many committed blobs share it. Computed
-// with a brief refMu acquisition — never while holding cache locks, so
-// the cache stays a leaf in the lock order.
+// chunkWeight is the cache admission weight of a chunk: its census
+// count, i.e. how many stored recipes share it. Computed with a brief
+// mu acquisition — never while holding cache locks, so the cache stays
+// a leaf in the lock order.
 func (s *Store) chunkWeight(hash string) int {
-	s.refMu.Lock()
-	n, err := s.readRef(hash)
-	s.refMu.Unlock()
-	if err != nil {
-		return 0
-	}
-	return n
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.censusLocked()[hash]
 }
 
 // getChunkCached returns the logical bytes of a chunk, serving from
 // the cache when possible and admitting store reads weighted by the
-// chunk's refcount. The returned slice may be cache-resident: callers
+// chunk's census count. The returned slice may be cache-resident: callers
 // must copy before mutating.
 func (s *Store) getChunkCached(hash string, want int64) ([]byte, error) {
 	c := s.cache.Load()
@@ -127,7 +123,7 @@ func (s *Store) readRecipeCached(key string) (Recipe, error) {
 	if err != nil {
 		return Recipe{}, err
 	}
-	// Weight 1: recipes earn protection by reuse, not refcount.
+	// Weight 1: recipes earn protection by reuse, not sharing.
 	c.Put(ck, r, int64(len(raw)), 1)
 	return r, nil
 }

@@ -1,14 +1,12 @@
 package cas
 
 import (
-	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -34,7 +32,6 @@ var ErrCorrupt = errors.New("cas: corrupt chunk")
 const (
 	Prefix       = "cas/"
 	chunkPrefix  = Prefix + "chunks/"
-	refPrefix    = Prefix + "refs/"
 	recipePrefix = Prefix + "recipes/"
 )
 
@@ -57,9 +54,6 @@ const (
 // hex hash, fanned out by the first two hex digits.
 func ChunkKey(hash string) string { return chunkPrefix + hash[:2] + "/" + hash }
 
-// RefKey returns the blob key of a chunk's persisted reference count.
-func RefKey(hash string) string { return refPrefix + hash[:2] + "/" + hash }
-
 // RecipeKey returns the blob key of the recipe for a logical key.
 func RecipeKey(logical string) string { return recipePrefix + logical }
 
@@ -71,16 +65,11 @@ func LogicalKey(recipeKey string) (string, bool) {
 	return recipeKey[len(recipePrefix):], true
 }
 
-// ChunkHash extracts the hash from a chunk or ref key; ok is false for
-// keys outside those namespaces or with a malformed fan-out.
+// ChunkHash extracts the hash from a chunk key; ok is false for keys
+// outside the chunk namespace or with a malformed fan-out.
 func ChunkHash(key string) (hash string, ok bool) {
-	rest := ""
-	switch {
-	case strings.HasPrefix(key, chunkPrefix):
-		rest = key[len(chunkPrefix):]
-	case strings.HasPrefix(key, refPrefix):
-		rest = key[len(refPrefix):]
-	default:
+	rest, found := strings.CutPrefix(key, chunkPrefix)
+	if !found {
 		return "", false
 	}
 	fan, hash, found := strings.Cut(rest, "/")
@@ -92,18 +81,6 @@ func ChunkHash(key string) (hash string, ok bool) {
 
 // IsKey reports whether key lives in the reserved CAS namespace.
 func IsKey(key string) bool { return strings.HasPrefix(key, Prefix) }
-
-// IsRefKey reports whether key is a persisted refcount key. Fsck uses
-// this to treat integrity findings on refcounts as repairable — a
-// refcount is derivable from the recipes, never primary data.
-func IsRefKey(key string) bool {
-	_, ok := ChunkHash(key)
-	return ok && strings.HasPrefix(key, refPrefix)
-}
-
-// EncodeRefcount renders a reference count the way the store persists
-// it (ASCII decimal) — fsck uses this to rewrite drifted counts.
-func EncodeRefcount(n int) []byte { return []byte(strconv.Itoa(n)) }
 
 // RecipeChunk is one chunk reference inside a recipe, in blob order.
 // Hash addresses the LOGICAL (uncompressed) chunk bytes and Size is
@@ -153,8 +130,7 @@ type PutResult struct {
 	// PhysicalBytes is what the write actually cost the store: newly
 	// written chunk bytes plus the recipe document.
 	PhysicalBytes int64
-	// WriteOps counts chunk and recipe blob writes (refcount updates
-	// are bookkeeping and excluded).
+	// WriteOps counts chunk and recipe blob writes.
 	WriteOps int64
 	// NewChunks is how many chunks this write added to the store.
 	NewChunks int
@@ -169,14 +145,10 @@ type PutResult struct {
 
 // GCReport summarizes one garbage-collection pass.
 type GCReport struct {
-	// ChunksDeleted counts chunks removed (unreferenced by any recipe
-	// and with a zero or missing refcount).
+	// ChunksDeleted counts chunks removed (listed by no recipe).
 	ChunksDeleted int `json:"chunks_deleted"`
 	// BytesFreed is the payload bytes of the deleted chunks.
 	BytesFreed int64 `json:"bytes_freed"`
-	// RefsDeleted counts refcount files removed (their chunk was gone
-	// or collected).
-	RefsDeleted int `json:"refs_deleted"`
 	// ChunksKept counts chunks that survived the pass.
 	ChunksKept int `json:"chunks_kept"`
 }
@@ -186,16 +158,31 @@ type GCReport struct {
 // over shared chunks: Get, GetRange, Size and Delete resolve a key
 // either way, PutRaw and Put choose how it is written. For returns the
 // Store of a blob store.
+//
+// Chunk liveness is derived, never persisted: a chunk is live while a
+// stored recipe lists it or an in-flight Put or read holds it. The
+// census counts the recipes in memory, so a store has one writing
+// process — a census does not see saves another process makes to the
+// same directory (nor did pending, pinned or core's set-ID claims).
 type Store struct {
 	blobs *blobstore.Store
 
-	// refMu serializes refcount read-modify-write cycles and the
+	// mu guards the census, pending and pinned, and serializes the
 	// delete-at-zero decisions that depend on them.
-	refMu sync.Mutex
+	mu sync.Mutex
+	// census counts, per chunk hash, the stored recipes that list it.
+	// It is built on first use (censusTried) and rebuilt by every GC
+	// pass, and is never below the true count: Put adds after its
+	// recipe is written, release subtracts under mu together with the
+	// recipe delete. nil when the last build met an unreadable recipe;
+	// then nothing is freed eagerly until a GC pass (after fsck) builds
+	// it again.
+	census      map[string]int
+	censusTried bool
 	// pending counts in-flight Puts per chunk hash. A chunk some Put
-	// has registered must not be eagerly deleted even at refcount
-	// zero: the Put may have skipped writing it because it existed and
-	// is about to take a reference.
+	// has registered must not be eagerly deleted even at census zero:
+	// the Put may have skipped writing it because it existed and is
+	// about to list it in its recipe.
 	pending map[string]int
 	// pinned counts in-flight reads per chunk hash (see Pin). Pinned
 	// chunks are shielded from eager deletion exactly like pending
@@ -212,8 +199,8 @@ type Store struct {
 }
 
 // For returns the Store of b. b creates it on first use and holds it
-// from then on, so everyone working on b shares one refcount lock, one
-// set of pins and one cache, and all of it is collected with b.
+// from then on, so everyone working on b shares one census, one set of
+// pins and one cache, and all of it is collected with b.
 func For(b *blobstore.Store) *Store { return b.View(newStore).(*Store) }
 
 func newStore(b *blobstore.Store) any {
@@ -238,36 +225,60 @@ func hashChunk(data []byte) string {
 	return hex.EncodeToString(sum[:])
 }
 
-// readRef returns a chunk's persisted reference count; a missing ref
-// file reads as zero. Callers must hold refMu.
-func (s *Store) readRef(hash string) (int, error) {
-	raw, err := s.blobs.Get(RefKey(hash))
+// countRecipes lists the store once and returns the census its recipes
+// imply together with the hash of every stored chunk — the walk GC
+// marks with and the census is built from. It fails on a recipe it
+// cannot read. Callers hold mu.
+func (s *Store) countRecipes() (census map[string]int, chunks []string, err error) {
+	keys, err := s.blobs.Keys()
 	if err != nil {
-		if backend.IsNotFound(err) {
-			return 0, nil
+		return nil, nil, err
+	}
+	census = map[string]int{}
+	for _, k := range keys {
+		if h, ok := ChunkHash(k); ok {
+			chunks = append(chunks, h)
+			continue
 		}
-		return 0, err
+		logical, ok := LogicalKey(k)
+		if !ok {
+			continue
+		}
+		r, _, err := s.readRecipe(logical)
+		if backend.IsNotFound(err) {
+			continue // a failed Put's undo removed it since the listing
+		}
+		if err != nil {
+			return nil, nil, err
+		}
+		for _, h := range distinctHashes(r.Chunks) {
+			census[h]++
+		}
 	}
-	n, err := strconv.Atoi(string(bytes.TrimSpace(raw)))
-	if err != nil || n < 0 {
-		return 0, fmt.Errorf("cas: refcount of %s is garbled: %q", hash, raw)
+	return census, chunks, nil
+}
+
+// censusLocked returns the census, building it on first use; nil when
+// a stored recipe was unreadable. Callers hold mu.
+func (s *Store) censusLocked() map[string]int {
+	if !s.censusTried {
+		s.censusTried = true
+		s.census, _, _ = s.countRecipes()
 	}
-	return n, nil
+	return s.census
 }
 
 // Put stores data under the logical key: chunks it, writes only the
 // chunks the store does not already have, writes the recipe, and then
-// takes one reference per distinct chunk. A failed Put undoes exactly
-// what it did (its own increments, its recipe, its genuinely new
-// chunks) so a shared chunk is never released by a save that never
-// referenced it.
+// counts the recipe in the census. A failed Put undoes exactly what it
+// did (its recipe, its genuinely new chunks) so a shared chunk is never
+// deleted by a save that never listed it.
 //
-// The write order — chunks, recipe, refcounts — is chosen for crash
-// safety: at every prefix of a crashed Put, persisted refcounts are at
-// least the references held by committed sets, so the eager
-// delete-at-zero in Release can never destroy live data. Debris from
-// a crash (orphan chunks, an unreferenced recipe, over-counted refs)
-// is exactly what fsck's CAS pass detects and repairs.
+// The census exists before the first write and is added to only after
+// the recipe write, so a GC pass rebuilding it in between can only
+// over-count, never lose the recipe. Debris from a crash (orphan
+// chunks, an unreferenced recipe) is exactly what fsck's CAS pass
+// detects and repairs.
 func (s *Store) Put(key string, data []byte, chunkSize int, hints Hints, reg *obs.Registry) (PutResult, error) {
 	return s.PutEncoded(key, data, chunkSize, hints, Encoding{}, reg)
 }
@@ -299,19 +310,20 @@ func (s *Store) PutEncoded(key string, data []byte, chunkSize int, hints Hints, 
 
 	// Shield every chunk this Put relies on from concurrent eager
 	// deletion before we decide which ones already exist.
-	s.refMu.Lock()
+	s.mu.Lock()
+	s.censusLocked()
 	for _, h := range distinct {
 		s.pending[h]++
 	}
-	s.refMu.Unlock()
+	s.mu.Unlock()
 	defer func() {
-		s.refMu.Lock()
+		s.mu.Lock()
 		for _, h := range distinct {
 			if s.pending[h]--; s.pending[h] <= 0 {
 				delete(s.pending, h)
 			}
 		}
-		s.refMu.Unlock()
+		s.mu.Unlock()
 	}()
 
 	var res PutResult
@@ -322,25 +334,19 @@ func (s *Store) PutEncoded(key string, data []byte, chunkSize int, hints Hints, 
 		}
 	}
 	var newChunks []string
-	undo := func(recipeWritten bool, committed map[string]int) {
+	undo := func(recipeWritten bool) {
 		if recipeWritten {
 			_ = s.blobs.Delete(RecipeKey(key))
 			s.invalidateRecipe(key)
 		}
-		s.refMu.Lock()
-		defer s.refMu.Unlock()
-		for h, prev := range committed {
-			if prev == 0 {
-				_ = s.blobs.Delete(RefKey(h))
-			} else {
-				_ = s.blobs.Put(RefKey(h), EncodeRefcount(prev))
-			}
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		if s.census == nil {
+			return // liveness unknown: GC reclaims the new chunks
 		}
 		for _, h := range newChunks {
-			n, err := s.readRef(h)
-			if err == nil && n == 0 && s.pending[h] == 1 && s.pinned[h] == 0 {
+			if s.census[h] == 0 && s.pending[h] == 1 && s.pinned[h] == 0 {
 				_ = s.blobs.Delete(ChunkKey(h))
-				_ = s.blobs.Delete(RefKey(h))
 				s.invalidateChunk(h)
 			}
 		}
@@ -354,7 +360,7 @@ func (s *Store) PutEncoded(key string, data []byte, chunkSize int, hints Hints, 
 		case backend.IsNotFound(err):
 			missing = append(missing, h)
 		default:
-			undo(false, nil)
+			undo(false)
 			return PutResult{}, fmt.Errorf("cas: probing chunk %s: %w", h, err)
 		}
 	}
@@ -418,7 +424,7 @@ func (s *Store) PutEncoded(key string, data []byte, chunkSize int, hints Hints, 
 		res.NewChunks++
 	}
 	if runErr != nil {
-		undo(false, nil)
+		undo(false)
 		return PutResult{}, runErr
 	}
 	// Everything not physically written — repeats within this blob and
@@ -427,11 +433,11 @@ func (s *Store) PutEncoded(key string, data []byte, chunkSize int, hints Hints, 
 
 	recipeBytes, err := json.Marshal(recipe)
 	if err != nil {
-		undo(false, nil)
+		undo(false)
 		return PutResult{}, fmt.Errorf("cas: marshaling recipe for %q: %w", key, err)
 	}
 	if err := s.blobs.Put(RecipeKey(key), recipeBytes); err != nil {
-		undo(true, nil)
+		undo(true)
 		return PutResult{}, fmt.Errorf("cas: writing recipe for %q: %w", key, err)
 	}
 	// An overwrite replaced the recipe: drop any cached parse of the
@@ -441,21 +447,13 @@ func (s *Store) PutEncoded(key string, data []byte, chunkSize int, hints Hints, 
 	res.WriteOps++
 	res.Recipe = recipe
 
-	s.refMu.Lock()
-	committed := map[string]int{}
-	for _, h := range distinct {
-		n, err := s.readRef(h)
-		if err == nil {
-			err = s.blobs.Put(RefKey(h), EncodeRefcount(n+1))
+	s.mu.Lock()
+	if s.census != nil {
+		for _, h := range distinct {
+			s.census[h]++
 		}
-		if err != nil {
-			s.refMu.Unlock()
-			undo(true, committed)
-			return PutResult{}, fmt.Errorf("cas: acquiring ref on %s: %w", h, err)
-		}
-		committed[h] = n
 	}
-	s.refMu.Unlock()
+	s.mu.Unlock()
 
 	reg.Counter(MetricChunksTotal).Add(int64(res.NewChunks))
 	reg.Counter(MetricDedupBytesTotal).Add(res.DedupBytes)
@@ -777,17 +775,20 @@ func (s *Store) Delete(key string) (freed int64, err error) {
 	return size, err
 }
 
-// release drops the references the logical key holds and deletes its
-// recipe. Chunks whose refcount reaches zero (and that no in-flight
-// Put is relying on) are deleted eagerly; the returned count is the
-// physical bytes actually freed, recipe included. Releasing a key
-// with no recipe is a no-op — retried prunes and crash replays must
+// release deletes the recipe of the logical key and takes it out of
+// the census. Chunks no other recipe lists (and that no in-flight Put
+// or read holds) are deleted eagerly; the returned count is the
+// physical bytes actually freed, recipe included. Releasing a key with
+// no recipe is a no-op — retried prunes and crash replays must
 // converge.
 //
-// The recipe is deleted before any refcount is decremented so that a
-// crash mid-release leaves counts too high (orphan-class debris fsck
-// repairs), never too low.
+// mu is held across the recipe delete and the census decrements, so a
+// GC pass cannot rebuild the census in between and count the recipe
+// out twice. A store whose census could not be built frees only the
+// recipe; GC reclaims its chunks once fsck has repaired the store.
 func (s *Store) release(key string) (freed int64, err error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	r, raw, err := s.readRecipe(key)
 	if err != nil {
 		if backend.IsNotFound(err) {
@@ -795,111 +796,57 @@ func (s *Store) release(key string) (freed int64, err error) {
 		}
 		return 0, err
 	}
+	census := s.censusLocked()
 	if err := s.blobs.Delete(RecipeKey(key)); err != nil {
 		return 0, fmt.Errorf("cas: deleting recipe for %q: %w", key, err)
 	}
 	s.invalidateRecipe(key)
 	freed = int64(len(raw))
-
-	distinct := make([]string, 0, len(r.Chunks))
-	sizeOf := map[string]int64{}
-	for _, c := range r.Chunks {
-		if _, ok := sizeOf[c.Hash]; !ok {
-			distinct = append(distinct, c.Hash)
-			sizeOf[c.Hash] = c.Size
-		}
+	if census == nil {
+		return freed, nil
 	}
-	s.refMu.Lock()
-	defer s.refMu.Unlock()
-	for _, h := range distinct {
-		n, err := s.readRef(h)
-		if err != nil {
-			// A garbled refcount is fsck's to rebuild; skipping the
-			// decrement only leaves the count too high, which is safe.
+	for _, h := range distinctHashes(r.Chunks) {
+		if census[h]--; census[h] > 0 {
 			continue
 		}
-		if n > 1 {
-			if err := s.blobs.Put(RefKey(h), EncodeRefcount(n-1)); err != nil {
-				return freed, fmt.Errorf("cas: releasing ref on %s: %w", h, err)
-			}
-			continue
-		}
-		if err := s.blobs.Delete(RefKey(h)); err != nil {
-			return freed, fmt.Errorf("cas: deleting ref of %s: %w", h, err)
-		}
+		delete(census, h)
 		if s.pending[h] > 0 || s.pinned[h] > 0 {
 			continue
 		}
 		// Report the stored (possibly compressed) size, not the logical
 		// one: freed bytes are a physical-occupancy number.
 		size, serr := s.blobs.Size(ChunkKey(h))
-		if serr != nil {
-			size = sizeOf[h]
-		}
 		if err := s.blobs.Delete(ChunkKey(h)); err != nil {
 			return freed, fmt.Errorf("cas: deleting chunk %s: %w", h, err)
 		}
 		s.invalidateChunk(h)
-		freed += size
+		if serr == nil {
+			freed += size
+		}
 	}
 	return freed, nil
 }
 
-// GC deletes every chunk that no recipe references and whose persisted
-// refcount is zero or missing, plus refcount files whose chunk is
-// gone. It is the safety net for crash debris Release could not see;
-// a chunk referenced by any recipe — even an uncommitted one — is
-// never collected. GC fails without deleting anything if a recipe is
-// unreadable: run fsck first.
+// GC counts the recipes, then sweeps: it deletes every stored chunk no
+// recipe lists and no in-flight Put or read holds, and keeps the count
+// as the new census. It is the safety net for crash debris release
+// could not see; a chunk listed by any recipe — even an uncommitted
+// one — is never collected. GC fails without deleting anything if a
+// recipe is unreadable: run fsck first.
 func (s *Store) GC(reg *obs.Registry) (GCReport, error) {
 	reg = registry(reg)
-	s.refMu.Lock()
-	defer s.refMu.Unlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
 
-	keys, err := s.blobs.Keys()
+	census, chunks, err := s.countRecipes()
 	if err != nil {
-		return GCReport{}, err
+		return GCReport{}, fmt.Errorf("cas: gc: %w", err)
 	}
-	referenced := map[string]bool{}
-	chunks := map[string]bool{}
-	var refs []string
-	for _, k := range keys {
-		switch {
-		case strings.HasPrefix(k, recipePrefix):
-			logical, _ := LogicalKey(k)
-			r, _, err := s.readRecipe(logical)
-			if backend.IsNotFound(err) {
-				// Released since the listing: Release deletes the recipe
-				// before it takes refMu, so its chunks' refcounts are
-				// still undecremented and keep them alive below.
-				continue
-			}
-			if err != nil {
-				return GCReport{}, fmt.Errorf("cas: gc: %w", err)
-			}
-			for _, c := range r.Chunks {
-				referenced[c.Hash] = true
-			}
-		case strings.HasPrefix(k, chunkPrefix):
-			if h, ok := ChunkHash(k); ok {
-				chunks[h] = true
-			}
-		case strings.HasPrefix(k, refPrefix):
-			if h, ok := ChunkHash(k); ok {
-				refs = append(refs, h)
-			}
-		}
-	}
+	s.census, s.censusTried = census, true
 
 	var report GCReport
-	deleted := map[string]bool{}
-	for h := range chunks {
-		if referenced[h] || s.pending[h] > 0 || s.pinned[h] > 0 {
-			report.ChunksKept++
-			continue
-		}
-		n, err := s.readRef(h)
-		if err != nil || n > 0 {
+	for _, h := range chunks {
+		if census[h] > 0 || s.pending[h] > 0 || s.pinned[h] > 0 {
 			report.ChunksKept++
 			continue
 		}
@@ -910,25 +857,9 @@ func (s *Store) GC(reg *obs.Registry) (GCReport, error) {
 		if err := s.blobs.Delete(ChunkKey(h)); err != nil {
 			return report, err
 		}
-		if err := s.blobs.Delete(RefKey(h)); err != nil {
-			return report, err
-		}
 		s.invalidateChunk(h)
-		deleted[h] = true
 		report.ChunksDeleted++
 		report.BytesFreed += size
-	}
-	for _, h := range refs {
-		if chunks[h] && !deleted[h] {
-			continue
-		}
-		if deleted[h] {
-			continue // ref already deleted alongside its chunk
-		}
-		if err := s.blobs.Delete(RefKey(h)); err != nil {
-			return report, err
-		}
-		report.RefsDeleted++
 	}
 	reg.Counter(MetricGCDeletedTotal).Add(int64(report.ChunksDeleted))
 	return report, nil
@@ -942,10 +873,6 @@ type Scan struct {
 	BadRecipes map[string]error
 	// Chunks maps chunk hashes to their stored payload size.
 	Chunks map[string]int64
-	// Refs maps chunk hashes to their parsed persisted refcount.
-	Refs map[string]int
-	// BadRefs maps chunk hashes to the parse error of their ref file.
-	BadRefs map[string]error
 	// RecipeBytes is the total size of all recipe documents.
 	RecipeBytes int64
 }
@@ -961,8 +888,6 @@ func ScanStore(b *blobstore.Store) (*Scan, error) {
 		Recipes:    map[string]Recipe{},
 		BadRecipes: map[string]error{},
 		Chunks:     map[string]int64{},
-		Refs:       map[string]int{},
-		BadRefs:    map[string]error{},
 	}
 	for _, k := range keys {
 		switch {
@@ -990,30 +915,14 @@ func ScanStore(b *blobstore.Store) (*Scan, error) {
 				size = 0
 			}
 			scan.Chunks[h] = size
-		case strings.HasPrefix(k, refPrefix):
-			h, ok := ChunkHash(k)
-			if !ok {
-				continue
-			}
-			raw, err := b.Get(k)
-			if err != nil {
-				scan.BadRefs[h] = err
-				continue
-			}
-			n, err := strconv.Atoi(string(bytes.TrimSpace(raw)))
-			if err != nil || n < 0 {
-				scan.BadRefs[h] = fmt.Errorf("cas: garbled refcount %q", raw)
-				continue
-			}
-			scan.Refs[h] = n
 		}
 	}
 	return scan, nil
 }
 
 // Keys lists the logical blob keys under prefix: raw blobs plus the
-// logical keys of recipes. Chunks, refcounts and recipes themselves are
-// physical storage and never listed.
+// logical keys of recipes. Chunks and recipes themselves are physical
+// storage and never listed.
 func (s *Store) Keys(prefix string) ([]string, error) {
 	keys, err := s.blobs.Keys()
 	if err != nil {

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"runtime"
-	"strings"
 	"testing"
 	"time"
 
@@ -148,13 +147,9 @@ func TestGCDeletesOnlyUnreferenced(t *testing.T) {
 	if _, err := s.Put("live", bytes.Repeat([]byte{5}, 300), 100, Hints{}, reg(t)); err != nil {
 		t.Fatal(err)
 	}
-	// Fabricate crash debris: a chunk with no recipe and no refcount.
+	// Fabricate crash debris: a chunk no recipe lists.
 	orphan := bytes.Repeat([]byte{6}, 123)
 	if err := b.Put(ChunkKey(hashChunk(orphan)), orphan); err != nil {
-		t.Fatal(err)
-	}
-	// And a dangling refcount whose chunk is gone.
-	if err := b.Put(RefKey(strings.Repeat("ab", 32)), EncodeRefcount(2)); err != nil {
 		t.Fatal(err)
 	}
 	report, err := s.GC(reg(t))
@@ -164,32 +159,30 @@ func TestGCDeletesOnlyUnreferenced(t *testing.T) {
 	if report.ChunksDeleted != 1 || report.BytesFreed != 123 {
 		t.Fatalf("GC deleted %d chunks / %d bytes, want 1 / 123", report.ChunksDeleted, report.BytesFreed)
 	}
-	if report.RefsDeleted != 1 {
-		t.Fatalf("GC deleted %d dangling refs, want 1", report.RefsDeleted)
-	}
 	if got, err := s.Get("live"); err != nil || len(got) != 300 {
 		t.Fatalf("GC damaged live data: %v", err)
 	}
 }
 
-func TestPutUndoOnRefFailure(t *testing.T) {
-	// Garble a refcount so the acquire step fails, and check Put
-	// removed its recipe and its new chunks but left the other key's
-	// data untouched.
-	s, b := newTestStore(t)
+func TestPutUndoOnRecipeFailure(t *testing.T) {
+	// Fail the recipe write, and check Put removed its recipe and its
+	// new chunks but left the other key's data untouched.
+	faulty := backend.NewFaulty(backend.NewMem())
+	b := blobstore.New(faulty, latency.CostModel{}, nil)
+	s := For(b)
 	keep := bytes.Repeat([]byte{1}, 200)
 	if _, err := s.Put("keep", keep, 100, Hints{}, reg(t)); err != nil {
 		t.Fatal(err)
 	}
 	bad := bytes.Repeat([]byte{1}, 100) // shares chunk 0 with "keep"
 	bad = append(bad, bytes.Repeat([]byte{3}, 100)...)
-	h := hashChunk(bad[:100])
-	if err := b.Put(RefKey(h), []byte("not-a-number")); err != nil {
-		t.Fatal(err)
-	}
+	// The new chunk lands (its body and its manifest), the recipe does
+	// not.
+	faulty.FailPutsAfter(2)
 	if _, err := s.Put("bad", bad, 100, Hints{}, reg(t)); err == nil {
-		t.Fatal("Put with garbled refcount succeeded")
+		t.Fatal("Put with a failing recipe write succeeded")
 	}
+	faulty.FailPutsAfter(-1)
 	if _, err := s.Recipe("bad"); !backend.IsNotFound(err) {
 		t.Fatal("failed Put left its recipe behind")
 	}

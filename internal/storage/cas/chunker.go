@@ -6,9 +6,10 @@
 //
 // Chunked blobs are split into deterministic chunks, each chunk is
 // stored once under its SHA-256 address, and a per-key "recipe" records
-// how to reassemble the original bytes. Persisted reference counts
-// track how many recipes use each chunk so that deletes and GC() remove
-// only data nothing points at anymore.
+// how to reassemble the original bytes. A chunk is live while a recipe
+// lists it: an in-memory census of the recipes, built from them on
+// first use, lets deletes free shared chunks eagerly, and GC() sweeps
+// whatever no recipe lists. Nothing about liveness is persisted.
 //
 // The seam. A *Store is the whole API for logical blobs. PutRaw and
 // Put (PutEncoded) choose the representation at write time; Get,
@@ -25,8 +26,8 @@
 // that no longer yields its content address are all ErrCorrupt.
 //
 // Ownership. A blob store holds its one Store (see For); components
-// take it when they are built. The refcount lock, the pins of in-flight
-// reads and the serving-tier cache therefore have exactly the lifetime
+// take it when they are built. The census, the pins of in-flight reads
+// and the serving-tier cache therefore have exactly the lifetime
 // and the sharing of the blob store itself; the package keeps no
 // registry of stores and no other mutable package-level state.
 //
@@ -34,8 +35,10 @@
 // the reserved "cas/" namespace:
 //
 //	cas/chunks/<hh>/<sha256-hex>   chunk payload (hh = first two hex digits)
-//	cas/refs/<hh>/<sha256-hex>     ASCII-decimal reference count
 //	cas/recipes/<logical key>      JSON {size, chunks:[{h,s}]}
+//
+// Stores written before the census also hold persisted reference
+// counts under cas/refs/; nothing reads them any more.
 //
 // Writing through the blob store (rather than the raw backend) means
 // every CAS artifact gets the store's CRC32C manifests for free, is

@@ -120,9 +120,9 @@ func TestPutEncodedParallelUndo(t *testing.T) {
 	if len(scan.Chunks) != 0 {
 		t.Fatalf("failed PutEncoded orphaned %d chunks", len(scan.Chunks))
 	}
-	s.refMu.Lock()
+	s.mu.Lock()
 	leaked := len(s.pending)
-	s.refMu.Unlock()
+	s.mu.Unlock()
 	if leaked != 0 {
 		t.Fatalf("failed PutEncoded leaked %d pending entries", leaked)
 	}

@@ -63,8 +63,8 @@ func TestPinBlocksEagerDeleteAndGC(t *testing.T) {
 	h := r.Chunks[0].Hash
 
 	s.Pin(h)
-	// Release drops the only reference; the pin must keep the chunk's
-	// bytes on disk even though its refcount file is gone.
+	// Release drops the only recipe; the pin must keep the chunk's
+	// bytes on disk even though its census count is zero.
 	if _, err := s.Delete("doomed"); err != nil {
 		t.Fatalf("Release: %v", err)
 	}

@@ -9,22 +9,22 @@ import (
 // Chunk quarantine and repair. When the scrubber (or any digest
 // verification) finds a chunk whose stored body no longer yields the
 // bytes its content address promises, the body is moved into the blob
-// store's quarantine namespace. The chunk's refcount and every recipe
-// referencing it are left untouched — they are correct metadata about
-// data that should exist — so a later repair only has to re-ingest a
-// verified body to make the store whole again.
+// store's quarantine namespace. Every recipe referencing the chunk is
+// left untouched — it is correct metadata about data that should
+// exist — so a later repair only has to re-ingest a verified body to
+// make the store whole again.
 
 // QuarantineChunk moves a chunk's stored body into quarantine unless a
 // concurrent writer or reader is relying on it: a chunk with an
 // in-flight Put pending may be about to be re-added (the Put skips the
-// write when the body exists, then takes a reference — yanking the
+// write when the body exists, then lists it in its recipe — yanking the
 // body in that window would commit a recipe over a hole), and a pinned
 // chunk has a reader mid-flight that will surface the corruption
 // itself. Returns moved=false when the chunk was skipped for either
 // reason or its body is already gone.
 func (s *Store) QuarantineChunk(hash string) (moved bool, err error) {
-	s.refMu.Lock()
-	defer s.refMu.Unlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	if s.pending[hash] > 0 || s.pinned[hash] > 0 {
 		return false, nil
 	}
@@ -56,8 +56,8 @@ func (s *Store) ChunkQuarantined(hash string) bool {
 
 // RestoreChunk re-ingests a verified chunk body (fetched from a healthy
 // peer) and discards any quarantined copy. The body is digest-verified
-// by PutChunk before it is stored; refcounts and recipes were never
-// touched by quarantine, so a successful restore fully heals the chunk.
+// by PutChunk before it is stored; recipes were never touched by
+// quarantine, so a successful restore fully heals the chunk.
 func (s *Store) RestoreChunk(hash string, data []byte) error {
 	if err := s.PutChunk(hash, data); err != nil {
 		return err
@@ -78,7 +78,7 @@ func (s *Store) QuarantinedChunks() ([]string, error) {
 	}
 	var out []string
 	for _, e := range entries {
-		if h, ok := ChunkHash(e.Key); ok && !IsRefKey(e.Key) {
+		if h, ok := ChunkHash(e.Key); ok {
 			out = append(out, h)
 		}
 	}

@@ -129,15 +129,15 @@ func TestQuarantineChunkRespectsPinsAndPending(t *testing.T) {
 	// A chunk with an in-flight Put pending must not be yanked either:
 	// the Put may have skipped the write because the body existed and
 	// is about to take a reference.
-	s.refMu.Lock()
+	s.mu.Lock()
 	s.pending[hash]++
-	s.refMu.Unlock()
+	s.mu.Unlock()
 	if moved, err := s.QuarantineChunk(hash); err != nil || moved {
 		t.Fatalf("QuarantineChunk of pending chunk = (%v, %v), want (false, nil)", moved, err)
 	}
-	s.refMu.Lock()
+	s.mu.Lock()
 	delete(s.pending, hash)
-	s.refMu.Unlock()
+	s.mu.Unlock()
 
 	if moved, err := s.QuarantineChunk(hash); err != nil || !moved {
 		t.Fatalf("QuarantineChunk after unpin = (%v, %v), want (true, nil)", moved, err)

@@ -450,7 +450,7 @@ var (
 )
 
 // Self-healing: a background scrubber incrementally verifies every
-// chunk, recipe, refcount, and blob checksum; corrupt bodies are moved
+// chunk, recipe, and blob checksum; corrupt bodies are moved
 // to a quarantine namespace (reads fail fast, evidence preserved) and,
 // when a repair peer is configured, re-fetched by digest over the pull
 // protocol and restored. See docs/ARCHITECTURE.md, "Self-healing &
